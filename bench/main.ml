@@ -524,13 +524,30 @@ let populated_megaflow ?config n =
 
 let probe_flow = Pi_classifier.Flow.make ~ip_src:0l ~tp_src:0 ~tp_dst:0 ()
 
+(* The per-packet megaflow lookup of [flows.(i)]: the walk over a burst
+   of one plus its commit, as the datapath runs it after an EMC miss.
+   The one-packet index rows and result columns are preallocated, so
+   the lookup itself allocates nothing; pass a preallocated
+   [Some cache] as [hints] for the kernel flavour. *)
+let one_idx = Array.init 32 (fun i -> [| i |])
+let one_walk = Pi_ovs.Megaflow.create_walk 1
+
+let mf_lookup1 ?hints mf flows i =
+  Pi_ovs.Megaflow.walk_batch mf ?hints flows ~idx:one_idx.(i) ~n:1 one_walk;
+  match hints with
+  | Some cache ->
+    Pi_ovs.Megaflow.commit_walk_hinted mf cache flows.(i) one_walk 0 ~now:0.
+      ~pkt_len:100
+  | None -> Pi_ovs.Megaflow.commit_walk mf one_walk 0 ~now:0. ~pkt_len:100
+
+let probe_flows = [| probe_flow |]
+
 let micro_tests () =
   let open Bechamel in
   let mf_miss =
     Test.make_indexed ~name:"megaflow-miss" ~args:mask_counts (fun n ->
         let mf = populated_megaflow n in
-        Staged.stage (fun () ->
-            ignore (Pi_ovs.Megaflow.lookup mf probe_flow ~now:0. ~pkt_len:100)))
+        Staged.stage (fun () -> mf_lookup1 mf probe_flows 0))
   in
   let mf_bookkeeping =
     (* Mask-set bookkeeping on the hot path (mask_limit checks): must be
@@ -555,8 +572,7 @@ let micro_tests () =
           (Pi_ovs.Megaflow.insert mf ~key:probe_flow
              ~mask:Pi_classifier.Mask.exact ~action:Pi_ovs.Action.Drop
              ~revision:0 ~now:0. ());
-        Staged.stage (fun () ->
-            ignore (Pi_ovs.Megaflow.lookup mf probe_flow ~now:0. ~pkt_len:100)))
+        Staged.stage (fun () -> mf_lookup1 mf probe_flows 0))
   in
   let emc_hit =
     let rng = Pi_pkt.Prng.create 1L in
@@ -814,13 +830,11 @@ let run_hotpath () =
         ignore
           (Pi_ovs.Megaflow.insert mf ~key:probe_flow ~mask:Mask.exact
              ~action:Pi_ovs.Action.Drop ~revision:0 ~now:0. ());
-        let cache = Pi_ovs.Mask_cache.create () in
-        ignore (Pi_ovs.Megaflow.lookup_hinted mf cache probe_flow ~now:0. ~pkt_len:100);
+        let hints = Some (Pi_ovs.Mask_cache.create ()) in
+        mf_lookup1 ?hints mf probe_flows 0;
         let r =
           hot_measure ~iters:500_000 (fun () ->
-              ignore
-                (Pi_ovs.Megaflow.lookup_hinted mf cache probe_flow ~now:0.
-                   ~pkt_len:100))
+              mf_lookup1 ?hints mf probe_flows 0)
         in
         print_row "mf-hit-hinted" (Some n) r;
         (n, r))
@@ -834,7 +848,7 @@ let run_hotpath () =
         let mf = populated_megaflow n in
         let r =
           hot_measure ~iters:(max 2000 (400_000 / n)) (fun () ->
-              ignore (Pi_ovs.Megaflow.lookup mf probe_flow ~now:0. ~pkt_len:100))
+              mf_lookup1 mf probe_flows 0)
         in
         print_row "tss-walk" (Some n) r;
         (n, r))
@@ -949,34 +963,32 @@ let run_hotpath () =
       hr_minor_words_per_pkt = per r.hr_minor_words_per_pkt }
   in
   print_row "pmd-batch" None pmd_batch;
-  (* 8./9. Subtable-major batch walk vs the same 32 flows looked up one
-     at a time: the dpcls-style amortisation the vectorised dataplane
-     rides on. [Megaflow.lookup_batch] probes one subtable for the
-     whole burst before touching the next, so the per-mask loads
-     amortise across the burst; at attack-sized mask sets the batch
-     walk must not lose to 32 sequential lookups
-     (PI_BENCH_ASSERT_BATCH=1 enforces this at >= 512 masks). Both
-     variants are steady-state lookups and sit inside the zero-alloc
-     gate. *)
+  (* 8./9. One 32-packet walk vs the same 32 flows walked one at a
+     time: the dpcls-style amortisation the vectorised dataplane rides
+     on. At attack-sized mask sets the burst walk is subtable-major — it
+     probes one subtable for the whole burst before touching the next,
+     so the per-mask loads amortise across the burst — and must not
+     lose to 32 one-packet walks (PI_BENCH_ASSERT_BATCH=1 enforces this
+     at >= 512 masks). Both variants are steady-state lookups and sit
+     inside the zero-alloc gate. *)
   let burst = 32 in
   let batch_vs_scalar which setup =
     List.map
       (fun n ->
         let mf, flows = setup n in
         let idx = Array.init burst (fun i -> i) in
-        let pkt_lens = Array.make burst 100 in
-        let out_entry = Array.make burst None in
-        let out_probes = Array.make burst 0 in
-        let out_tbl = Array.make burst 0 in
+        let w = Pi_ovs.Megaflow.create_walk burst in
         let iters = max 50 (50_000 / n) in
         let run_batch () =
           hot_measure ~quick_floor:100 ~iters (fun () ->
-              Pi_ovs.Megaflow.lookup_batch mf flows ~idx ~n:burst ~pkt_lens
-                ~now:0. ~out_entry ~out_probes ~out_tbl)
+              Pi_ovs.Megaflow.walk_batch mf flows ~idx ~n:burst w;
+              for j = 0 to burst - 1 do
+                Pi_ovs.Megaflow.commit_walk mf w j ~now:0. ~pkt_len:100
+              done)
         and run_scalar () =
           hot_measure ~quick_floor:100 ~iters (fun () ->
               for i = 0 to burst - 1 do
-                ignore (Pi_ovs.Megaflow.lookup mf flows.(i) ~now:0. ~pkt_len:100)
+                mf_lookup1 mf flows i
               done)
         in
         (* Interleaved best-of-3: these two variants sit within a few

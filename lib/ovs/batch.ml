@@ -18,9 +18,7 @@ type t = {
      precomputed megaflow walk results for each miss-set slot. *)
   sc_miss : int array;
   sc_emc : Megaflow.entry option array;
-  sc_entry : Megaflow.entry option array;
-  sc_probes : int array;
-  sc_tbl : int array;
+  sc_walk : Megaflow.walk;
 }
 
 let create ~capacity =
@@ -37,9 +35,7 @@ let create ~capacity =
     slow_probes = Array.make capacity 0;
     sc_miss = Array.make capacity 0;
     sc_emc = Array.make capacity None;
-    sc_entry = Array.make capacity None;
-    sc_probes = Array.make capacity 0;
-    sc_tbl = Array.make capacity (-1) }
+    sc_walk = Megaflow.create_walk capacity }
 
 let capacity t = t.cap
 let length t = t.n

@@ -7,7 +7,7 @@
     ([Dataplane.process_batch]), and its result columns read back in
     place. The [sc_*] columns are walk scratch owned by
     [Datapath.process_batch] (the EMC-miss set and the precomputed
-    subtable-major walk results); callers never touch them.
+    megaflow walk results); callers never touch them.
 
     The record is exposed so the hot loops (datapath completion, PMD
     scatter) can read and write columns directly without accessor-call
@@ -27,9 +27,7 @@ type t = {
   slow_probes : int array;
   sc_miss : int array;
   sc_emc : Megaflow.entry option array;
-  sc_entry : Megaflow.entry option array;
-  sc_probes : int array;
-  sc_tbl : int array;
+  sc_walk : Megaflow.walk;
 }
 
 val create : capacity:int -> t

@@ -50,10 +50,9 @@ type t = {
          [t.cycles <- t.cycles +. c] store boxes a fresh float, which
          alone busts the batch path's zero-allocation budget; float
          array stores are unboxed. *)
-  mf_stats : Megaflow.lookup_stats;
-      (* caller-owned probe reporting for this datapath's own megaflow
-         lookups (replaces reading the deprecated [Megaflow.last_probes]
-         side-channel) *)
+  one : Batch.t;
+      (* the one-packet batch behind [process]; its walk columns also
+         hold a packet re-walked after a mid-burst megaflow install *)
   (* Batched handler scratch for {!service_upcalls}: one chunk of popped
      items, an identity index row, and the verdicts. *)
   su_flows : Pi_classifier.Flow.t array;
@@ -124,7 +123,7 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
     uq = Upcall_queue.create config.upcall_queue;
     sync_upcalls = sync;
     cy = Array.make 2 0.;
-    mf_stats = Megaflow.lookup_stats ();
+    one = Batch.create ~capacity:1;
     su_flows = Array.make service_chunk Pi_classifier.Flow.zero;
     su_lens = Array.make service_chunk 0;
     su_idx = Array.init service_chunk (fun i -> i);
@@ -165,26 +164,6 @@ let trace t ~now kind =
   match t.tracer with
   | Some tr -> Pi_telemetry.Tracer.record tr ~at:now kind
   | None -> ()
-
-let finish t flow outcome action =
-  let c = Cost_model.cycles t.cfg.cost outcome in
-  t.cy.(0) <- t.cy.(0) +. c;
-  observe t.h_cycles c;
-  (match t.perf with
-   | Some p ->
-     Pi_telemetry.Perf.record p ~pkt_len:outcome.Cost_model.pkt_len
-       ~emc_hit:outcome.Cost_model.emc_hit
-       ~mf_probes:outcome.Cost_model.mf_probes
-       ~mf_hit:outcome.Cost_model.mf_hit
-       ~upcalled:outcome.Cost_model.upcall
-       ~slow_probes:outcome.Cost_model.slow_probes
-   | None -> ());
-  (match t.prov with
-   | Some p ->
-     Provenance.account p ~port:(Pi_classifier.Flow.in_port flow) ~outcome
-       ~cycles:c
-   | None -> ());
-  (action, outcome)
 
 (* Slow-path verdict → cached state: apply the mitigation hooks
    (narrowing transform, mask cap), install the megaflow, trace mask
@@ -240,117 +219,33 @@ let install_verdict t ~now flow (v : Slowpath.verdict) =
   if t.cfg.emc_enabled then Emc.insert t.emc flow e;
   e
 
-(* Everything after an EMC miss: megaflow lookup, then hit / upcall /
-   deferred enqueue. Top-level so the batch completion's dirty-state
-   fallback can re-enter the live per-packet path mid-batch without
-   duplicating it (the packet counters have already been bumped by
-   then). *)
-let miss_path t ~now flow ~pkt_len =
-  let mf_entry =
-    match t.mcache with
-    | Some cache ->
-      Megaflow.lookup_hinted_s t.mf t.mf_stats cache flow ~now ~pkt_len
-    | None -> Megaflow.lookup_s t.mf t.mf_stats flow ~now ~pkt_len
-  in
-  let probes = t.mf_stats.Megaflow.s_probes in
-  match mf_entry with
-  | Some e ->
-    t.last_mf <- mf_entry;
-    if t.cfg.emc_enabled then Emc.insert t.emc flow e;
-    observe t.h_probes (float_of_int probes);
-    trace t ~now (Pi_telemetry.Tracer.Mf_hit { probes });
-    finish t flow
-      { Cost_model.emc_hit = false; mf_probes = probes; mf_hit = true;
-        upcall = false; slow_probes = 0; pkt_len }
-      e.Megaflow.action
-  | None ->
-    observe t.h_probes (float_of_int probes);
-    if t.sync_upcalls then begin
-      (* Synchronous model: classify inline, exactly the behaviour
-         (and cost accounting) of the pre-queue datapath. *)
-      t.n_upcalls <- t.n_upcalls + 1;
-      let v = Slowpath.upcall t.slow flow in
-      ignore (install_verdict t ~now flow v);
-      finish t flow
-        { Cost_model.emc_hit = false; mf_probes = probes; mf_hit = false;
-          upcall = true; slow_probes = v.Slowpath.probes; pkt_len }
-        v.Slowpath.action
-    end
-    else begin
-      (* Deferred model: the miss posts an upcall (one per packet,
-         duplicates included — the kernel's per-packet Netlink queue)
-         and the packet itself is not forwarded this tick; the handler
-         resolves the flow in {!service_upcalls}. A full queue means
-         the packet — and its upcall — is dropped on the floor. *)
-      (if
-         Upcall_queue.push t.uq
-           { ui_flow = flow; ui_pkt_len = pkt_len; ui_at = now }
-       then
-         trace t ~now
-           (Pi_telemetry.Tracer.Upcall_enqueued
-              { queued = Upcall_queue.length t.uq })
-       else begin
-         t.n_upcall_drops <- t.n_upcall_drops + 1;
-         (match t.c_upcall_drops with
-          | Some c -> Pi_telemetry.Metrics.incr c
-          | None -> ());
-         trace t ~now
-           (Pi_telemetry.Tracer.Upcall_dropped
-              { queued = Upcall_queue.length t.uq })
-       end);
-      finish t flow
-        { Cost_model.emc_hit = false; mf_probes = probes; mf_hit = false;
-          upcall = false; slow_probes = 0; pkt_len }
-        Action.Drop
-    end
+(* --- Processing ------------------------------------------------------
 
-let process t ~now flow ~pkt_len =
-  t.n_processed <- t.n_processed + 1;
-  (match t.c_packets with
-   | Some c -> Pi_telemetry.Metrics.incr c
-   | None -> ());
-  let emc_entry =
-    if t.cfg.emc_enabled then Emc.lookup t.emc flow else None
-  in
-  match emc_entry with
-  | Some e ->
-    t.last_mf <- emc_entry;
-    e.Megaflow.last_used <- now;
-    e.Megaflow.n_packets <- e.Megaflow.n_packets + 1;
-    e.Megaflow.n_bytes <- e.Megaflow.n_bytes + pkt_len;
-    trace t ~now Pi_telemetry.Tracer.Emc_hit;
-    finish t flow
-      { Cost_model.emc_hit = true; mf_probes = 0; mf_hit = false;
-        upcall = false; slow_probes = 0; pkt_len }
-      e.Megaflow.action
-  | None -> miss_path t ~now flow ~pkt_len
+   [process_batch] runs the hierarchy in two phases; [process] is a
+   one-packet batch.
 
-(* --- Batch processing ----------------------------------------------
-
-   [process_batch] runs the hierarchy in two phases.
-
-   Phase P (pure, vectorised): probe the EMC for every packet — no
-   counters, no eviction, no RNG — to carve out the miss set, then one
-   subtable-major {!Megaflow.walk_batch} over the miss set precomputes
-   each miss packet's (entry, probes, subtable). This is where the
-   batch's cache locality comes from: each subtable is loaded once per
-   batch, not once per packet.
+   Phase P (pure): probe the EMC for every packet — no counters, no
+   eviction, no RNG — to carve out the miss set, then one
+   {!Megaflow.walk_batch} over the miss set finds each miss packet's
+   (entry, probes, subtable). For a burst at attack-scale mask counts
+   this walk is subtable-major, so each subtable is loaded once per
+   burst, not once per packet.
 
    Phase C (completion): replay the per-packet bookkeeping in strict
    packet order, so counters, entry stamps, EMC insertion RNG draws,
-   upcalls and traces are bit-for-bit those of the per-packet fold. Two
-   flags guard the precomputed results. [emc_clean]: no EMC write has
+   upcalls and traces are those of [n] one-packet batches. Two flags
+   guard the precomputed results. [emc_clean]: no EMC write has
    happened since the probes ran — a pure hit can be committed directly
    ({!Emc.commit_hit}); after any insert, the slot is re-read with a
    real {!Emc.lookup} (which also counts the miss, or the hit if an
-   in-batch insert landed the flow — exactly what the fold would see).
-   [mf_dirty]: a synchronous upcall installed a megaflow (possibly
-   appending a subtable or evicting entries), so the remaining packets'
-   precomputed walk results are stale and fall back to the live scalar
-   miss path. Deferred-upcall mode never installs mid-batch, so the
-   attack/pipeline regime keeps the whole batch vectorised. *)
+   in-batch insert landed the flow — exactly what a one-packet batch
+   would see). [mf_dirty]: a synchronous upcall installed a megaflow
+   (possibly appending a subtable or evicting entries), so the
+   remaining packets' walk results are stale and each of them is walked
+   again on its own. Deferred-upcall mode never installs mid-batch, so
+   the attack/pipeline regime walks each burst once. *)
 
-let finish_b t (b : Batch.t) i action ~emc_hit ~mf_probes ~mf_hit ~upcall
+let charge t (b : Batch.t) i action ~emc_hit ~mf_probes ~mf_hit ~upcall
     ~slow_probes =
   Batch.set_result b i action ~emc_hit ~mf_probes ~mf_hit ~upcall
     ~slow_probes;
@@ -395,74 +290,55 @@ let commit_emc_hit t (b : Batch.t) ~now i r =
     e.Megaflow.n_packets <- e.Megaflow.n_packets + 1;
     e.Megaflow.n_bytes <- e.Megaflow.n_bytes + b.Batch.pkt_lens.(i);
     trace t ~now Pi_telemetry.Tracer.Emc_hit;
-    finish_b t b i e.Megaflow.action ~emc_hit:true ~mf_probes:0
+    charge t b i e.Megaflow.action ~emc_hit:true ~mf_probes:0
       ~mf_hit:false ~upcall:false ~slow_probes:0
   | None -> assert false
 
-(* Live fallback once the megaflow has been mutated mid-batch: run the
-   real per-packet miss path (the EMC has already been consulted) and
-   copy its outcome into the batch columns — [miss_path] has done the
-   charging. Returns the dirty-state delta: 0 = no cache write,
-   1 = EMC possibly written, 2 = megaflow mutated. *)
-let scalar_miss t (b : Batch.t) ~now i =
-  let action, o =
-    miss_path t ~now b.Batch.flows.(i) ~pkt_len:b.Batch.pkt_lens.(i)
-  in
-  Batch.set_result b i action ~emc_hit:o.Cost_model.emc_hit
-    ~mf_probes:o.Cost_model.mf_probes ~mf_hit:o.Cost_model.mf_hit
-    ~upcall:o.Cost_model.upcall ~slow_probes:o.Cost_model.slow_probes;
-  if o.Cost_model.upcall then 2
-  else if o.Cost_model.mf_hit && t.cfg.emc_enabled then 1
-  else 0
-
-(* Commit the precomputed walk result of miss-set slot [j] (packet [i]).
-   Only sound while the megaflow is unmutated since phase P. Same
-   dirty-delta return as [scalar_miss]. *)
-let complete_miss t (b : Batch.t) ~now i j =
+(* Commit packet [i]'s walk result, held in slot [j] of [w]: megaflow
+   hit, synchronous upcall, or deferred enqueue. Only sound while the
+   megaflow is unmutated since the walk. Returns the dirty-state delta:
+   0 = no cache write, 1 = EMC possibly written, 2 = megaflow mutated. *)
+let complete_miss t (b : Batch.t) ~now i (w : Megaflow.walk) j =
   let flow = b.Batch.flows.(i) in
   let pkt_len = b.Batch.pkt_lens.(i) in
-  let pre = b.Batch.sc_entry.(j) in
-  let entry =
-    match t.mcache with
-    | Some cache ->
-      Megaflow.commit_walk_hinted t.mf t.mf_stats cache flow pre ~now
-        ~pkt_len ~probes:b.Batch.sc_probes.(j) ~tbl:b.Batch.sc_tbl.(j)
-    | None ->
-      Megaflow.commit_walk t.mf t.mf_stats pre ~now ~pkt_len
-        ~probes:b.Batch.sc_probes.(j) ~tbl:b.Batch.sc_tbl.(j);
-      pre
-  in
-  let probes = t.mf_stats.Megaflow.s_probes in
-  match entry with
-  | Some e ->
+  (match t.mcache with
+   | Some cache ->
+     Megaflow.commit_walk_hinted t.mf cache flow w j ~now ~pkt_len
+   | None -> Megaflow.commit_walk t.mf w j ~now ~pkt_len);
+  let probes = w.Megaflow.w_probes.(j) in
+  (* explicit matches, not [observe]: the eagerly evaluated
+     [float_of_int] argument would be boxed even with no histogram *)
+  (match t.h_probes with
+   | Some h -> Pi_telemetry.Histogram.observe h (float_of_int probes)
+   | None -> ());
+  match w.Megaflow.w_entry.(j) with
+  | Some e as entry ->
     t.last_mf <- entry;
     if t.cfg.emc_enabled then Emc.insert t.emc flow e;
-    (* explicit match, not [observe]: the eagerly evaluated
-       [float_of_int] argument would be boxed even with no histogram *)
-    (match t.h_probes with
-     | Some h -> Pi_telemetry.Histogram.observe h (float_of_int probes)
-     | None -> ());
     (match t.tracer with
      | Some tr ->
        Pi_telemetry.Tracer.record tr ~at:now
          (Pi_telemetry.Tracer.Mf_hit { probes })
      | None -> ());
-    finish_b t b i e.Megaflow.action ~emc_hit:false ~mf_probes:probes
+    charge t b i e.Megaflow.action ~emc_hit:false ~mf_probes:probes
       ~mf_hit:true ~upcall:false ~slow_probes:0;
     if t.cfg.emc_enabled then 1 else 0
   | None ->
-    (match t.h_probes with
-     | Some h -> Pi_telemetry.Histogram.observe h (float_of_int probes)
-     | None -> ());
     if t.sync_upcalls then begin
+      (* Synchronous model: classify inline. *)
       t.n_upcalls <- t.n_upcalls + 1;
       let v = Slowpath.upcall t.slow flow in
       ignore (install_verdict t ~now flow v);
-      finish_b t b i v.Slowpath.action ~emc_hit:false ~mf_probes:probes
+      charge t b i v.Slowpath.action ~emc_hit:false ~mf_probes:probes
         ~mf_hit:false ~upcall:true ~slow_probes:v.Slowpath.probes;
       2
     end
     else begin
+      (* Deferred model: the miss posts an upcall (one per packet,
+         duplicates included — the kernel's per-packet Netlink queue)
+         and the packet itself is not forwarded this tick; the handler
+         resolves the flow in {!service_upcalls}. A full queue means
+         the packet — and its upcall — is dropped on the floor. *)
       (if
          Upcall_queue.push t.uq
            { ui_flow = flow; ui_pkt_len = pkt_len; ui_at = now }
@@ -479,10 +355,20 @@ let complete_miss t (b : Batch.t) ~now i j =
            (Pi_telemetry.Tracer.Upcall_dropped
               { queued = Upcall_queue.length t.uq })
        end);
-      finish_b t b i Action.Drop ~emc_hit:false ~mf_probes:probes
+      charge t b i Action.Drop ~emc_hit:false ~mf_probes:probes
         ~mf_hit:false ~upcall:false ~slow_probes:0;
       0
     end
+
+(* After a mid-burst megaflow install: walk packet [i] again on its own,
+   into slot 0 of the datapath's one-packet batch, and commit that. (When
+   [b] is that batch the install cannot precede its only packet.) *)
+let rewalk_miss t (b : Batch.t) ~now i =
+  let o = t.one in
+  o.Batch.sc_miss.(0) <- i;
+  Megaflow.walk_batch t.mf ?hints:t.mcache b.Batch.flows ~idx:o.Batch.sc_miss
+    ~n:1 o.Batch.sc_walk;
+  complete_miss t b ~now i o.Batch.sc_walk 0
 
 (* Phase C. [i] is the packet position, [j] its position in the miss
    set. Top-level tail recursion with the flags as parameters — local
@@ -495,8 +381,8 @@ let rec complete_batch t (b : Batch.t) ~now i n j emc_clean mf_dirty =
      | None -> ());
     if not t.cfg.emc_enabled then begin
       let d =
-        if mf_dirty then scalar_miss t b ~now i
-        else complete_miss t b ~now i j
+        if mf_dirty then rewalk_miss t b ~now i
+        else complete_miss t b ~now i b.Batch.sc_walk j
       in
       complete_batch t b ~now (i + 1) n (j + 1) emc_clean (mf_dirty || d = 2)
     end
@@ -509,13 +395,13 @@ let rec complete_batch t (b : Batch.t) ~now i n j emc_clean mf_dirty =
       | Some _ -> begin
         (* The pure hit may be stale (slot overwritten, entry killed):
            re-read for real — the lookup's own counting is exactly what
-           the per-packet fold would have done here. *)
+           a one-packet batch would have done here. *)
         match Emc.lookup t.emc b.Batch.flows.(i) with
         | Some _ as r ->
           commit_emc_hit t b ~now i r;
           complete_batch t b ~now (i + 1) n j emc_clean mf_dirty
         | None ->
-          let d = scalar_miss t b ~now i in
+          let d = rewalk_miss t b ~now i in
           complete_batch t b ~now (i + 1) n j (emc_clean && d = 0)
             (mf_dirty || d = 2)
       end
@@ -529,8 +415,8 @@ let rec complete_batch t (b : Batch.t) ~now i n j emc_clean mf_dirty =
           complete_batch t b ~now (i + 1) n (j + 1) emc_clean mf_dirty
         | None ->
           let d =
-            if mf_dirty then scalar_miss t b ~now i
-            else complete_miss t b ~now i j
+            if mf_dirty then rewalk_miss t b ~now i
+            else complete_miss t b ~now i b.Batch.sc_walk j
           in
           complete_batch t b ~now (i + 1) n (j + 1) (emc_clean && d = 0)
             (mf_dirty || d = 2)
@@ -553,11 +439,17 @@ let process_batch t (b : Batch.t) ~now =
         n
       end
     in
-    Megaflow.walk_batch t.mf b.Batch.flows ~idx:b.Batch.sc_miss ~n:k
-      ~out_entry:b.Batch.sc_entry ~out_probes:b.Batch.sc_probes
-      ~out_tbl:b.Batch.sc_tbl;
+    Megaflow.walk_batch t.mf ?hints:t.mcache b.Batch.flows
+      ~idx:b.Batch.sc_miss ~n:k b.Batch.sc_walk;
     complete_batch t b ~now 0 n 0 true false
   end
+
+let process t ~now flow ~pkt_len =
+  let b = t.one in
+  Batch.clear b;
+  Batch.push b flow ~pkt_len;
+  process_batch t b ~now;
+  Batch.result b 0
 
 let pop_pending_upcall t =
   match Upcall_queue.pop t.uq with

@@ -2,9 +2,11 @@
     glued together exactly as in the OVS fast/slow path architecture the
     paper describes (§2).
 
-    [process] classifies one packet, updates every cache layer, and
-    reports the precise {!Cost_model.outcome}, from which simulations
-    derive CPU consumption and forwarding capacity. *)
+    [process_batch] classifies a burst, updates every cache layer, and
+    reports each packet's precise {!Cost_model.outcome}, from which
+    simulations derive CPU consumption and forwarding capacity. There is
+    one path through the hierarchy: [process] is a one-packet
+    [process_batch]. *)
 
 type config = {
   emc_enabled : bool;
@@ -79,36 +81,39 @@ val install_rules : t -> Action.t Pi_classifier.Rule.t list -> unit
 
 val remove_rules : t -> (Action.t Pi_classifier.Rule.t -> bool) -> int
 
-val process :
-  t -> now:float -> Pi_classifier.Flow.t -> pkt_len:int ->
-  Action.t * Cost_model.outcome
-(** Classify one packet through the cache hierarchy.
-
-    With the default synchronous upcall queue, a double miss classifies
-    in the slow path inline and returns its verdict. With a bounded
-    queue the miss instead posts an upcall (one per packet, duplicates
-    included — the kernel's per-packet Netlink channel) and returns
-    [Action.Drop] with an outcome charging only the fast-path work; if
-    the queue is full the upcall itself is dropped and counted in
-    {!upcall_drops}. Deferred upcalls resolve in {!service_upcalls}. *)
-
 val process_batch : t -> Batch.t -> now:float -> unit
 (** Classify a whole {!Batch} through the cache hierarchy, writing each
     packet's action and outcome columns back into the batch.
 
-    The walk is subtable-major, OVS dpcls style: one vectorised EMC
-    probe pass carves out the miss set, one {!Megaflow.lookup_batch}
-    walk resolves it loading each subtable once per batch, and a
-    completion pass replays the per-packet bookkeeping in strict packet
-    order. Results are bit-for-bit those of [n] {!process} calls — same
-    actions and outcomes, same megaflows minted, same mask counts, same
-    EMC insertion RNG draws, same traces; a mid-batch synchronous
-    upcall falls the remaining packets back to the live scalar path to
-    keep that guarantee. With deferred upcalls, misses enqueue exactly
-    as in {!process} and resolve at the next {!service_upcalls}, which
-    classifies queued misses in slow-path batches of its own.
+    One EMC probe pass carves out the miss set, one
+    {!Megaflow.walk_batch} resolves it (subtable-major, OVS dpcls style,
+    at attack-scale mask counts), and a completion pass replays the
+    per-packet bookkeeping in strict packet order. Results are
+    bit-for-bit those of [n] one-packet batches — same actions and
+    outcomes, same megaflows minted, same mask counts, same EMC
+    insertion RNG draws, same traces. A mid-batch synchronous upcall
+    makes the rest of the batch's walk results stale, so each remaining
+    EMC miss is walked again on its own.
 
-    The batch hit and walk paths allocate nothing on the minor heap. *)
+    With the default synchronous upcall queue, a double miss classifies
+    in the slow path inline and gets its verdict. With a bounded queue
+    the miss instead posts an upcall (one per packet, duplicates
+    included — the kernel's per-packet Netlink channel) and gets
+    [Action.Drop] with an outcome charging only the fast-path work; if
+    the queue is full the upcall itself is dropped and counted in
+    {!upcall_drops}. Deferred upcalls resolve at the next
+    {!service_upcalls}, which classifies queued misses in slow-path
+    batches of its own.
+
+    The hit and walk paths allocate nothing on the minor heap. *)
+
+val process :
+  t -> now:float -> Pi_classifier.Flow.t -> pkt_len:int ->
+  Action.t * Cost_model.outcome
+(** Classify one packet: {!process_batch} on a one-packet batch owned by
+    the datapath, its result materialised as a pair (which allocates).
+    For a single packet the megaflow walk goes packet by packet, with no
+    burst overhead. *)
 
 val pop_pending_upcall : t -> (Pi_classifier.Flow.t * int * float) option
 (** Dequeue the oldest deferred upcall as [(flow, pkt_len, enqueued_at)]
@@ -137,7 +142,7 @@ val service_upcalls : t -> now:float -> int
     the default synchronous configuration. *)
 
 val last_megaflow : t -> Megaflow.entry option
-(** The megaflow entry the most recent {!process} call hit or installed
+(** The megaflow entry the most recently processed packet hit or installed
     ([None] before the first packet) — an instrumentation hook for
     simulations that need per-flow entry handles without extra
     lookups. *)
@@ -148,7 +153,7 @@ val revalidate : t -> now:float -> int
     megaflow count. *)
 
 val cycles_used : t -> float
-(** Cumulative CPU cycles consumed by [process] calls since the last
+(** Cumulative CPU cycles consumed by processed packets since the last
     {!reset_stats}, per the cost model. *)
 
 val handler_cycles_used : t -> float

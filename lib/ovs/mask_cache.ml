@@ -6,6 +6,7 @@ type t = {
   mutable generation : int;
       (* the megaflow subtable-array generation the cached indices were
          recorded against; see [sync_generation] *)
+  mutable version : int;  (* bumped by every write to [slots] *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -18,7 +19,7 @@ let create ?(capacity = 256) () =
   if capacity < 1 then invalid_arg "Mask_cache.create";
   let cap = next_pow2 capacity in
   { slots = Array.make cap (-1); mask = cap - 1; generation = 0;
-    hits = 0; misses = 0 }
+    version = 0; hits = 0; misses = 0 }
 
 let capacity t = Array.length t.slots
 
@@ -29,9 +30,13 @@ let slot t flow = Flow.hash flow land t.mask
    allocation on the megaflow hit path. *)
 let hint t flow = t.slots.(slot t flow)
 
-let record t flow idx = t.slots.(slot t flow) <- idx
+let record t flow idx =
+  t.slots.(slot t flow) <- idx;
+  t.version <- t.version + 1
 
-let clear t = Array.fill t.slots 0 (Array.length t.slots) (-1)
+let clear t =
+  Array.fill t.slots 0 (Array.length t.slots) (-1);
+  t.version <- t.version + 1
 
 let generation t = t.generation
 

@@ -4,7 +4,8 @@
     small (256-entry) direct-mapped array from a packet's flow hash to
     the index of the megaflow mask that matched that hash last time, so
     a stable flow pays one probe instead of a scan
-    ({!Megaflow.lookup_hinted} consumes the hint).
+    ({!Megaflow.walk_batch} and {!Megaflow.commit_walk_hinted} consume
+    the hint).
 
     Crucially for the paper, the cache is tiny: once the covert stream
     keeps thousands of flows alive, benign hints are continually
@@ -12,7 +13,21 @@
     the reason the kernel flavour of OVS collapses just like the
     userspace one (see the [ranking] bench experiment). *)
 
-type t
+type t = private {
+  slots : int array;  (** [-1] = empty, otherwise a mask index *)
+  mask : int;  (** [capacity - 1] *)
+  mutable generation : int;  (** see {!sync_generation} *)
+  mutable version : int;
+      (** bumped by every write ({!record}, {!clear}, and a clearing
+          {!sync_generation}): while it is unchanged, every hint read
+          earlier is still the live one *)
+  mutable hits : int;
+  mutable misses : int;
+}
+(** Read-only fields, so the megaflow walk's per-packet generation and
+    version checks compile to loads: libraries are built [-opaque] in
+    the default profile, where a call to an accessor is never
+    inlined. *)
 
 val create : ?capacity:int -> unit -> t
 (** [capacity] defaults to 256 and is rounded up to a power of two. *)
@@ -32,15 +47,15 @@ val clear : t -> unit
 val generation : t -> int
 val sync_generation : t -> int -> unit
 (** [sync_generation t gen] empties the cache iff its recorded
-    generation differs from [gen] (then remembers [gen]). Used by
-    {!Megaflow.lookup_hinted}: whenever the megaflow subtable array is
+    generation differs from [gen] (then remembers [gen]). Used by the
+    hinted megaflow walk: whenever the megaflow subtable array is
     reordered, every cached index may point at the wrong subtable — with
     overlapping masks a stale hint could even return a {e different}
     entry than the linear scan — so all hints are dropped wholesale. *)
 
 val note_hit : t -> unit
 val note_miss : t -> unit
-(** Counter hooks used by {!Megaflow.lookup_hinted}: a hint that led
+(** Counter hooks used by {!Megaflow.commit_walk_hinted}: a hint that led
     directly to the matching entry is a hit; everything else
     (no hint, stale hint) is a miss. *)
 

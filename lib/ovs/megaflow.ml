@@ -52,11 +52,10 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable probes : int;
-  mutable last_probes : int;        (* subtables probed by the last lookup *)
   mutable w_remaining : int;
       (* walk scratch: packets of the current batch still unresolved.
          A field, not a [ref], so the per-subtable walk loop allocates
-         nothing; only meaningful while [walk_batch] runs. *)
+         nothing; only meaningful while the subtable-major walk runs. *)
   c_hit : Pi_telemetry.Metrics.counter option;
   c_miss : Pi_telemetry.Metrics.counter option;
   c_probes : Pi_telemetry.Metrics.counter option;
@@ -80,7 +79,6 @@ let create ?(config = default_config) ?metrics () =
     hits = 0;
     misses = 0;
     probes = 0;
-    last_probes = 0;
     w_remaining = 0;
     c_hit = c "mf_hit";
     c_miss = c "mf_miss";
@@ -171,219 +169,188 @@ let miss t ~probes =
   bump t.c_miss;
   bump ~by:probes t.c_probes
 
-(* The linear scans are top-level recursive functions, not closures
-   inside [lookup]/[lookup_hinted]: an inner [let rec go] captures its
-   environment and is heap-allocated per call, which dominated the
-   per-packet allocation of the miss path (the attack's victim regime).
-   The probe count is reported via [last_probes] rather than a result
-   tuple so a hit (and a miss) allocates no pair. *)
-let rec scan_tables t flow ~now ~pkt_len i probes =
-  if i >= t.n_tables then begin
-    miss t ~probes;
-    t.last_probes <- probes;
-    None
+(* --- The walk --------------------------------------------------------
+
+   One walk serves every megaflow lookup: a burst of [n] packets, [n = 1]
+   for a single packet. It is split in two so the datapath can interleave
+   its EMC bookkeeping: a {e pure} walk ([walk_batch]) that finds each
+   packet's entry without touching statistics, then a per-packet commit
+   ([commit_walk] / [commit_walk_hinted]), in packet order, that replays
+   the hit/miss accounting of a sequential first-match scan. *)
+
+type walk = {
+  w_entry : entry option array;
+  w_probes : int array;
+  w_tbl : int array;
+  mutable w_hints : int;
+}
+
+let create_walk n =
+  { w_entry = Array.make n None;
+    w_probes = Array.make n 0;
+    w_tbl = Array.make n (-1);
+    w_hints = -1 }
+
+(* [w_probes] of a packet its hint resolved in the walk: its scan
+   position is unknown. *)
+let hinted = -1
+
+(* Loop order. OVS dpcls probes one subtable for the whole burst before
+   the next (subtable-major), loading each subtable's mask, support and
+   table once per burst. That only pays once the subtable set outgrows
+   the cache; below this many subtables, and for a single packet, the
+   per-subtable pass over the burst costs more than it saves, and the
+   walk goes packet by packet (packet-major). Measured crossover: see
+   DESIGN.md §5b. *)
+let subtable_major_min_tables = 128
+
+(* Packet-major walk of slot [j] from subtable [ti] on: the first match,
+   or a miss that paid every probe. Writes all three columns. Top-level
+   recursion, not an inner closure, so the walk allocates nothing; a hit
+   stores the arena's own option. *)
+let rec walk_packet t w flow j ti =
+  if ti >= t.n_tables then begin
+    w.w_entry.(j) <- None;
+    w.w_probes.(j) <- ti;
+    w.w_tbl.(j) <- -1
   end
   else begin
-    let st = t.arr.(i) in
-    let probes = probes + 1 in
-    match find_in_subtable st flow with
-    | Some e as r ->
-      hit_entry t st e ~now ~pkt_len ~probes;
-      t.last_probes <- probes;
-      r
-    | None -> scan_tables t flow ~now ~pkt_len (i + 1) probes
+    match find_in_subtable t.arr.(ti) flow with
+    | Some _ as r ->
+      w.w_entry.(j) <- r;
+      w.w_probes.(j) <- ti + 1;
+      w.w_tbl.(j) <- ti
+    | None -> walk_packet t w flow j (ti + 1)
   end
 
-let lookup t flow ~now ~pkt_len = scan_tables t flow ~now ~pkt_len 0 0
-
-(* Kernel-style lookup: try the mask the flow's hash slot matched last
-   time (one probe); fall back to the linear scan and refresh the hint.
-   A correct hint makes a stable flow O(1) even with thousands of masks
-   — until the cache's few hundred slots are thrashed.
-
-   The cache is synchronised with the subtable generation first: after a
-   resort/compaction every cached index may point at a different mask,
-   and with overlapping attack masks a stale hint could return a
-   different entry than the linear scan would. *)
-let rec scan_tables_record t cache flow ~now ~pkt_len i probes =
-  if i >= t.n_tables then begin
-    miss t ~probes;
-    t.last_probes <- probes;
-    None
-  end
-  else begin
-    let st = t.arr.(i) in
-    let probes = probes + 1 in
-    match find_in_subtable st flow with
-    | Some e as r ->
-      hit_entry t st e ~now ~pkt_len ~probes;
-      Mask_cache.record cache flow i;
-      t.last_probes <- probes;
-      r
-    | None -> scan_tables_record t cache flow ~now ~pkt_len (i + 1) probes
-  end
-
-let lookup_hinted t cache flow ~now ~pkt_len =
-  Mask_cache.sync_generation cache t.generation;
-  (* A failed hint costs one probe before the fallback scan. Only an
-     index that actually reached [find_in_subtable] counts; an
-     out-of-range hint (or the -1 "no hint" sentinel) never probed
-     anything. *)
-  let i = Mask_cache.hint cache flow in
-  if i >= 0 && i < t.n_tables then begin
-    let st = t.arr.(i) in
-    match find_in_subtable st flow with
-    | Some e as r ->
-      hit_entry t st e ~now ~pkt_len ~probes:1;
-      Mask_cache.note_hit cache;
-      t.last_probes <- 1;
-      r
-    | None ->
-      Mask_cache.note_miss cache;
-      scan_tables_record t cache flow ~now ~pkt_len 0 1
-  end
-  else begin
-    Mask_cache.note_miss cache;
-    scan_tables_record t cache flow ~now ~pkt_len 0 0
-  end
-
-(* Caller-owned probe reporting: the explicit record replaces the old
-   [last_probes] "valid until the next lookup" side-channel, which broke
-   down as soon as two lookups were in flight per batch. [t.last_probes]
-   is still maintained so the deprecated accessor keeps answering during
-   its final release. *)
-type lookup_stats = { mutable s_probes : int }
-
-let lookup_stats () = { s_probes = 0 }
-
-let lookup_s t s flow ~now ~pkt_len =
-  let r = scan_tables t flow ~now ~pkt_len 0 0 in
-  s.s_probes <- t.last_probes;
-  r
-
-let lookup_hinted_s t s cache flow ~now ~pkt_len =
-  let r = lookup_hinted t cache flow ~now ~pkt_len in
-  s.s_probes <- t.last_probes;
-  r
-
-(* --- Subtable-major batch walk ------------------------------------- *)
-
-(* Pure walk of one subtable over the still-unclassified packets of the
-   batch ([out_tbl.(j) < 0]). The probe count is NOT tallied per probe:
-   a packet resolved under mask [ti] paid [ti + 1] probes and one that
-   survives the whole walk paid [n_tables], both derivable after the
-   fact — dropping the per-probe read-modify-write is what lets this
-   loop beat the sequential scan even at 512 masks, where every
-   subtable header still fits in cache and the dpcls amortisation alone
-   has nothing to amortise. Unresolved count lives in [t.w_remaining]
-   (a [ref] here would be heap-allocated per subtable, and the
-   zero-alloc gate rounds at 1/1000 word per packet). *)
-let walk_table t st flows idx n out_entry out_probes out_tbl ti =
+(* Subtable-major: one subtable over the still-unresolved packets
+   ([w_tbl.(j) < 0]). The probe count is not tallied per probe: a packet
+   resolved under subtable [ti] paid [ti + 1] probes and one that misses
+   everywhere paid [n_tables] (the column's initial value). The
+   unresolved count lives in [t.w_remaining] (a [ref] would be
+   heap-allocated). [tbl] is bound once: under attack most slots of a
+   burst resolve early while one covert packet walks on, so the loop is
+   mostly the [tbl.(j) < 0] test, and reloading the column from [w] on
+   every test measured 5–15% slower at 8192 masks. The loop runs
+   [n_tables] times per packet, so its reads are unchecked: [walk_batch]
+   has already read [idx.(j)], [flows.(idx.(j))] and written [tbl.(j)]
+   for every [j < n] with checked accesses (about 8% off the walk). *)
+let walk_table t st flows idx n w ti =
+  let tbl = w.w_tbl in
   for j = 0 to n - 1 do
-    if out_tbl.(j) < 0 then begin
-      match find_in_subtable st flows.(idx.(j)) with
+    if Array.unsafe_get tbl j < 0 then begin
+      match
+        find_in_subtable st (Array.unsafe_get flows (Array.unsafe_get idx j))
+      with
       | Some _ as r ->
-        out_entry.(j) <- r;
-        out_probes.(j) <- ti + 1;
-        out_tbl.(j) <- ti;
+        w.w_entry.(j) <- r;
+        w.w_probes.(j) <- ti + 1;
+        tbl.(j) <- ti;
         t.w_remaining <- t.w_remaining - 1
       | None -> ()
     end
   done
 
-let rec walk_tables t flows idx n out_entry out_probes out_tbl ti =
+let rec walk_tables t flows idx n w ti =
   if t.w_remaining > 0 && ti < t.n_tables then begin
-    walk_table t t.arr.(ti) flows idx n out_entry out_probes out_tbl ti;
-    walk_tables t flows idx n out_entry out_probes out_tbl (ti + 1)
+    walk_table t t.arr.(ti) flows idx n w ti;
+    walk_tables t flows idx n w (ti + 1)
   end
 
-(* Pure subtable-major walk: for each mask, probe every unresolved
-   packet of the miss set, then move to the next mask — the dpcls
-   amortisation (each subtable's mask, support and table are loaded once
-   per batch, not once per packet). Touches no statistics and mutates
-   nothing: [out_entry.(j)] is the stored arena option (or [None]),
-   [out_probes.(j)] the probe count the sequential scan would have paid,
-   [out_tbl.(j)] the matching subtable index (-1 on a miss). The caller
-   replays hit/miss bookkeeping per packet with {!commit_walk} /
-   {!commit_walk_hinted}; while the cache is unmutated the replay is
-   bit-for-bit what per-packet {!lookup} would have produced, because
-   entries are non-overlapping so probe order across packets cannot
-   change which entry wins. *)
-let walk_batch t flows ~idx ~n ~out_entry ~out_probes ~out_tbl =
-  for j = 0 to n - 1 do
-    out_entry.(j) <- None;
-    (* overwritten with the hit position on a hit; a packet that walks
-       every subtable and misses paid them all, like the scan *)
-    out_probes.(j) <- t.n_tables;
-    out_tbl.(j) <- -1
-  done;
-  t.w_remaining <- n;
-  walk_tables t flows idx n out_entry out_probes out_tbl 0
-
-let commit_walk t s entry ~now ~pkt_len ~probes ~tbl =
-  (match entry with
-   | Some e -> hit_entry t t.arr.(tbl) e ~now ~pkt_len ~probes
-   | None -> miss t ~probes);
-  s.s_probes <- probes;
-  t.last_probes <- probes
-
-let commit_scan_record t s cache flow entry ~now ~pkt_len ~probes ~tbl =
-  (match entry with
-   | Some e ->
-     hit_entry t t.arr.(tbl) e ~now ~pkt_len ~probes;
-     Mask_cache.record cache flow tbl
-   | None -> miss t ~probes);
-  s.s_probes <- probes;
-  t.last_probes <- probes
-
-(* Hinted (kernel-flavour) commit of a precomputed walk result. The hint
-   is read {e live}, in packet order, so the hint/hit/miss accounting is
-   exactly what per-packet {!lookup_hinted} would have done; on a hint
-   hit the hint's entry is authoritative and returned (it is the same
-   entry the walk found — entries are non-overlapping — but the probe
-   count differs: 1, not the scan position). A failed in-range hint adds
-   its one probe to the precomputed scan count, as in
-   [scan_tables_record ... 0 1]. Only valid while the cache has not been
-   mutated since {!walk_batch} ran. *)
-let commit_walk_hinted t s cache flow entry ~now ~pkt_len ~probes ~tbl =
-  Mask_cache.sync_generation cache t.generation;
+(* Kernel flavour: probe the subtable the packet's hint names first, so
+   a warm hinted hit costs one probe of wall time whatever the mask
+   count. On a hit the packet's scan position stays unknown ([hinted]);
+   the commit computes it only if the hint has changed by then. *)
+let hint_hit t cache flow w j =
   let h = Mask_cache.hint cache flow in
-  if h >= 0 && h < t.n_tables then begin
-    let st = t.arr.(h) in
-    match find_in_subtable st flow with
-    | Some e as r ->
-      hit_entry t st e ~now ~pkt_len ~probes:1;
-      Mask_cache.note_hit cache;
-      s.s_probes <- 1;
-      t.last_probes <- 1;
-      r
-    | None ->
-      Mask_cache.note_miss cache;
-      commit_scan_record t s cache flow entry ~now ~pkt_len
-        ~probes:(probes + 1) ~tbl;
-      entry
+  h >= 0 && h < t.n_tables
+  &&
+  match find_in_subtable t.arr.(h) flow with
+  | Some _ as r ->
+    w.w_entry.(j) <- r;
+    w.w_probes.(j) <- hinted;
+    w.w_tbl.(j) <- h;
+    true
+  | None -> false
+
+let walk_batch t ?hints flows ~idx ~n w =
+  (match hints with
+   | Some cache ->
+     (* Hints recorded before a resort or compaction may name the wrong
+        mask: drop them before any is probed. The subtable array cannot
+        move between the walk and its commits, so they see the same
+        generation. *)
+     if cache.Mask_cache.generation <> t.generation then
+       Mask_cache.sync_generation cache t.generation;
+     w.w_hints <- cache.Mask_cache.version
+   | None -> ());
+  if n = 1 || t.n_tables < subtable_major_min_tables then
+    for j = 0 to n - 1 do
+      let flow = flows.(idx.(j)) in
+      match hints with
+      | Some cache when hint_hit t cache flow w j -> ()
+      | Some _ | None -> walk_packet t w flow j 0
+    done
+  else begin
+    t.w_remaining <- n;
+    for j = 0 to n - 1 do
+      let flow = flows.(idx.(j)) in
+      w.w_tbl.(j) <- -1;
+      match hints with
+      | Some cache when hint_hit t cache flow w j ->
+        t.w_remaining <- t.w_remaining - 1
+      | Some _ | None ->
+        w.w_entry.(j) <- None;
+        w.w_probes.(j) <- t.n_tables
+    done;
+    walk_tables t flows idx n w 0
+  end
+
+let commit_walk t w j ~now ~pkt_len =
+  let probes = w.w_probes.(j) in
+  match w.w_entry.(j) with
+  | Some e -> hit_entry t t.arr.(w.w_tbl.(j)) e ~now ~pkt_len ~probes
+  | None -> miss t ~probes
+
+(* The hint is read {e live}, in packet order: an earlier packet of the
+   burst may have recorded over it since the walk. A hint hit is
+   authoritative and costs one probe. If the cache has not been written
+   since the walk, the hint the walk probed is still the live one and
+   its answer stands (the megaflow is unmutated since the walk too).
+   Otherwise the hint is read and probed again. A packet that misses
+   its hint pays the first-match scan, plus one probe if the failed hint
+   was in range (an out-of-range hint never reached a subtable), and the
+   scan's subtable becomes the flow's hint. The cache is first
+   synchronised with the subtable generation: after a resort or
+   compaction a stale index could name a different mask. *)
+let commit_walk_hinted t cache flow w j ~now ~pkt_len =
+  let by_hint = w.w_probes.(j) = hinted in
+  if by_hint && w.w_hints = cache.Mask_cache.version then begin
+    (match w.w_entry.(j) with
+     | Some e -> hit_entry t t.arr.(w.w_tbl.(j)) e ~now ~pkt_len ~probes:1
+     | None -> assert false);
+    Mask_cache.note_hit cache;
+    w.w_probes.(j) <- 1
   end
   else begin
-    Mask_cache.note_miss cache;
-    commit_scan_record t s cache flow entry ~now ~pkt_len ~probes ~tbl;
-    entry
+    Mask_cache.sync_generation cache t.generation;
+    let h = Mask_cache.hint cache flow in
+    let in_range = h >= 0 && h < t.n_tables in
+    match if in_range then find_in_subtable t.arr.(h) flow else None with
+    | Some e as r ->
+      hit_entry t t.arr.(h) e ~now ~pkt_len ~probes:1;
+      Mask_cache.note_hit cache;
+      w.w_entry.(j) <- r;
+      w.w_probes.(j) <- 1;
+      w.w_tbl.(j) <- h
+    | None ->
+      Mask_cache.note_miss cache;
+      (* resolved by a hint that has been overwritten since *)
+      if by_hint then walk_packet t w flow j 0;
+      if in_range then w.w_probes.(j) <- w.w_probes.(j) + 1;
+      if w.w_tbl.(j) >= 0 then Mask_cache.record cache flow w.w_tbl.(j);
+      commit_walk t w j ~now ~pkt_len
   end
-
-let rec commit_batch t idx pkt_lens n out_entry out_probes out_tbl ~now j =
-  if j < n then begin
-    (match out_entry.(j) with
-     | Some e ->
-       hit_entry t t.arr.(out_tbl.(j)) e ~now
-         ~pkt_len:pkt_lens.(idx.(j)) ~probes:out_probes.(j)
-     | None -> miss t ~probes:out_probes.(j));
-    commit_batch t idx pkt_lens n out_entry out_probes out_tbl ~now (j + 1)
-  end
-
-(* Batch lookup = pure walk + per-packet commit. Statistics end up
-   identical to [n] sequential {!lookup} calls; allocation-free. *)
-let lookup_batch t flows ~idx ~n ~pkt_lens ~now ~out_entry ~out_probes ~out_tbl =
-  walk_batch t flows ~idx ~n ~out_entry ~out_probes ~out_tbl;
-  commit_batch t idx pkt_lens n out_entry out_probes out_tbl ~now 0
 
 (* Userspace-dpcls-style ranking: periodically sort subtables so the
    most-hit masks are probed first (OVS's pvector). Decays counts so

@@ -1,11 +1,12 @@
 (** The megaflow cache: the second fast-path layer, organised by Tuple
     Space Search.
 
-    Entries installed by the slow path are non-overlapping, so lookup
-    scans one hash table per distinct mask, in mask-creation order,
-    and stops at the first hit — which is why the lookup cost is linear
-    in the number of masks, the algorithmic deficiency the paper
-    attacks. A miss necessarily probes {e every} mask. *)
+    A lookup probes one hash table per distinct mask, in scan order
+    (mask-creation order unless {!resort_by_hits} ranks them), and stops
+    at the first hit — which is why the lookup cost is linear in the
+    number of masks, the algorithmic deficiency the paper attacks. A
+    miss necessarily probes {e every} mask. There is one implementation
+    of that walk, {!walk_batch}, for bursts and single packets alike. *)
 
 type entry = {
   key : Pi_classifier.Flow.t;   (** pre-masked *)
@@ -40,101 +41,75 @@ val create : ?config:config -> ?metrics:Pi_telemetry.Metrics.t -> unit -> t
     [n_megaflows] gauges track the current sizes (unlike the cumulative
     [mask_created] counter, which evictions never decrease). *)
 
-val lookup : t -> Pi_classifier.Flow.t -> now:float -> pkt_len:int -> entry option
-(** The matching entry, if any; hit statistics are updated. The result
-    is the stored option of the entry arena and a miss is the immediate
-    [None], so lookup allocates nothing. For the number of subtable
-    hash probes performed (= position of the matching mask, or the
-    total mask count on a miss), use {!lookup_s} with a caller-owned
-    {!lookup_stats} record. *)
+(** {2 Lookup: one walk, then a commit per packet}
 
-val lookup_hinted :
-  t -> Mask_cache.t -> Pi_classifier.Flow.t -> now:float -> pkt_len:int ->
-  entry option
-(** Kernel-datapath flavour: consult the {!Mask_cache} first (a correct
-    hint costs one probe), fall back to the linear scan and refresh the
-    hint. A stale in-range hint costs its probe, exactly as in the
-    kernel; a hint that never reached a subtable (out of range) costs
-    nothing. The cache is invalidated first if the subtable array has
-    been reordered since the hints were recorded (see {!generation}).
-    Allocation-free, like {!lookup}; probes via {!lookup_hinted_s}. *)
+    Every megaflow lookup, a burst or a single packet, is one pure walk
+    ({!walk_batch}) followed by one commit per packet, in packet order
+    ({!commit_walk}, or {!commit_walk_hinted} for the kernel flavour).
+    The datapath interleaves its EMC bookkeeping between the two. The
+    commits replay exactly the statistics of a sequential first-match
+    scan of each packet in turn. *)
 
-type lookup_stats = { mutable s_probes : int }
-(** Caller-owned probe reporting. A lookup writes the number of subtable
-    hash probes it performed into the record the caller passed, so two
-    concurrent walks (e.g. the batch path interleaving with a hinted
-    commit) cannot clobber each other the way the retired cache-global
-    [last_probes] accessor could (removed in 0.11.0 as CHANGES.md
-    0.10.0 announced). *)
+type walk = {
+  w_entry : entry option array;
+      (** the matching entry — the stored arena option, so nothing is
+          allocated — or [None] *)
+  w_probes : int array;
+      (** subtable probes a first-match scan pays: the matching
+          subtable's position, or the mask count on a miss *)
+  w_tbl : int array;  (** the matching subtable's index, or [-1] *)
+  mutable w_hints : int;
+      (** the mask cache's [version] when a hinted walk read its hints *)
+}
+(** Walk results, one slot per walked packet. A commit rewrites its slot
+    with the authoritative result (a hint hit's entry and probe count). *)
 
-val lookup_stats : unit -> lookup_stats
-
-val lookup_s :
-  t -> lookup_stats -> Pi_classifier.Flow.t -> now:float -> pkt_len:int ->
-  entry option
-(** {!lookup}, reporting the probe count into the caller's record. *)
-
-val lookup_hinted_s :
-  t -> lookup_stats -> Mask_cache.t -> Pi_classifier.Flow.t -> now:float ->
-  pkt_len:int -> entry option
-(** {!lookup_hinted}, reporting the probe count into the caller's
-    record. *)
-
-(** {2 Batch (subtable-major) lookup}
-
-    OVS dpcls probes one subtable for a whole packet burst before
-    touching the next, amortising the mask/support/table loads across
-    the batch — the amortisation the Tuple Space Explosion attack tries
-    to defeat. The walk is split in two so {!Datapath.process_batch} can
-    interleave EMC bookkeeping: a {e pure} vectorised walk
-    ({!walk_batch}) followed by a per-packet, packet-ordered commit
-    ({!commit_walk} / {!commit_walk_hinted}) that replays exactly the
-    statistics the sequential lookups would have produced. *)
+val create_walk : int -> walk
+(** Result columns for bursts of up to [n] packets. *)
 
 val walk_batch :
-  t -> Pi_classifier.Flow.t array -> idx:int array -> n:int ->
-  out_entry:entry option array -> out_probes:int array ->
-  out_tbl:int array -> unit
-(** Pure subtable-major walk over the [n] packets [flows.(idx.(0)) ..
-    flows.(idx.(n-1))]. For each packet slot [j]: [out_entry.(j)] is the
-    matching entry (the stored arena option — nothing is allocated),
-    [out_probes.(j)] the probes a sequential scan would have paid, and
-    [out_tbl.(j)] the matching subtable index, or [-1] on a miss. No
-    statistics are touched and nothing is mutated; commit each packet
-    with {!commit_walk} (or {!commit_walk_hinted}) before the cache is
-    mutated, or the precomputed results are stale. *)
+  t -> ?hints:Mask_cache.t -> Pi_classifier.Flow.t array -> idx:int array ->
+  n:int -> walk -> unit
+(** Pure walk of the [n] packets [flows.(idx.(0)) .. flows.(idx.(n-1))]
+    into slots [0, n) of the result columns. The cache is not mutated
+    and no statistics are touched; commit every slot before the cache is
+    next mutated, or the results are stale.
 
-val commit_walk :
-  t -> lookup_stats -> entry option -> now:float -> pkt_len:int ->
-  probes:int -> tbl:int -> unit
-(** Replay the hit/miss bookkeeping of one packet's {!walk_batch} result
-    ([entry], [probes], [tbl]) — entry usage stamps, hit/miss/probe
-    counters — exactly as {!lookup} would have. *)
+    The walk picks its loop order from [n] and the mask count:
+    packet-major (each packet probes subtables in scan order until its
+    first match) for one packet or few masks, subtable-major (OVS dpcls:
+    each subtable is probed for the whole burst before the next, so its
+    mask and table are loaded once per burst) otherwise. Both give the
+    same results.
+
+    With [hints] (kernel flavour), the walk first drops the
+    {!Mask_cache}'s hints if the subtable array was reordered since they
+    were recorded (see {!generation}), then each packet first probes the
+    subtable its hint names, so a warm hinted hit costs one probe of
+    wall time; such slots must be committed with {!commit_walk_hinted}.
+    Allocation-free. *)
+
+val commit_walk : t -> walk -> int -> now:float -> pkt_len:int -> unit
+(** [commit_walk t w j] replays slot [j]'s hit or miss: entry usage
+    stamps and the hit/miss/probe counters. *)
 
 val commit_walk_hinted :
-  t -> lookup_stats -> Mask_cache.t -> Pi_classifier.Flow.t ->
-  entry option -> now:float -> pkt_len:int -> probes:int -> tbl:int ->
-  entry option
-(** Kernel-flavour commit: consults the {!Mask_cache} {e live}, in
-    packet order, so hint hits/misses and recorded hints are exactly
-    those of per-packet {!lookup_hinted}. Returns the authoritative
-    entry (the hint's on a hint hit — with [s_probes = 1] — otherwise
-    the precomputed one, with the failed in-range hint's extra probe
-    added). *)
-
-val lookup_batch :
-  t -> Pi_classifier.Flow.t array -> idx:int array -> n:int ->
-  pkt_lens:int array -> now:float -> out_entry:entry option array ->
-  out_probes:int array -> out_tbl:int array -> unit
-(** {!walk_batch} + per-packet commit: statistics identical to [n]
-    sequential {!lookup} calls, allocation-free. [pkt_lens] is indexed
-    by [idx.(j)], like [flows]. *)
+  t -> Mask_cache.t -> Pi_classifier.Flow.t -> walk -> int -> now:float ->
+  pkt_len:int -> unit
+(** Kernel-flavour commit of slot [j] for [flow]. The hint is read live,
+    in packet order, so hint hits, misses and recorded hints are those of
+    a per-packet lookup. A correct hint costs one probe. A stale
+    in-range hint costs its probe on top of the first-match scan; a hint
+    that never reached a subtable (out of range) costs nothing. The
+    scan's subtable is recorded as the new hint. The cache is first
+    invalidated if the subtable array has been reordered since the hints
+    were recorded (see {!generation}). *)
 
 val generation : t -> int
 (** Incremented whenever subtable indices are invalidated (ranking
     resort, empty-subtable compaction, flush). Appending a new mask
     leaves existing indices valid and does not change the generation.
-    {!lookup_hinted} uses this to drop stale {!Mask_cache} hints. *)
+    {!commit_walk_hinted} uses this to drop stale {!Mask_cache} hints. *)
 
 val has_mask : t -> Pi_classifier.Mask.t -> bool
 (** O(1) mask-membership test (the [mask_limit] check), replacing a

@@ -129,6 +129,11 @@ type pipeline = {
   mutable cur_now : float;
   mutable last_applied : int;   (* for service_upcalls deltas *)
   mutable closed : bool;
+  fault : (exn * Printexc.raw_backtrace) option Atomic.t;
+      (* the first exception a worker or the handler died of; every spin
+         wait polls it, so a fault stops the other domains and is raised
+         in the driving domain instead of hanging it *)
+  mutable fault_raised : bool;  (* driving domain: already re-raised *)
 }
 
 type t = {
@@ -158,6 +163,19 @@ let deferred_upcalls (cfg : config) =
   not (Upcall_queue.synchronous cfg.dp.Datapath.upcall_queue)
 
 (* ---------- worker & handler loops (pipeline mode) ---------- *)
+
+exception Stopped
+
+(* Domain side of a fault: the first exception is published; domains
+   that see a published fault stop by raising [Stopped]. *)
+let guard pl body =
+  try body () with
+  | Stopped -> ()
+  | e ->
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (Atomic.compare_and_set pl.fault None (Some (e, bt)))
+
+let check_fault pl = if Atomic.get pl.fault <> None then raise Stopped
 
 (* [min_int] never appears on an rx ring (headers are [k] or [-k] with
    1 <= k, indices are >= 0), so it doubles as the empty default. *)
@@ -226,6 +244,7 @@ let worker_body t pl s =
         let i = ref (Spsc_ring.pop_or w.w_rx ~default:no_msg) in
         let spins = ref 0 in
         while !i = no_msg do
+          check_fault pl;
           pause !spins;
           incr spins;
           i := Spsc_ring.pop_or w.w_rx ~default:no_msg
@@ -249,6 +268,7 @@ let worker_body t pl s =
       ignore (Atomic.fetch_and_add w.w_done k)
     end
     else begin
+      check_fault pl;
       apply_completions sh w;
       forward_upcalls s sh w;
       let q =
@@ -292,10 +312,12 @@ let handler_body t pl =
           in
           let spins = ref 0 in
           while not (Spsc_ring.push w.w_cmp c) do
+            check_fault pl;
             pause !spins;
             incr spins
           done)
       pl.workers;
+    check_fault pl;
     if !did then idle := 0
     else if Atomic.get pl.stop then running := false
     else begin
@@ -381,7 +403,9 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
           cur_b = Batch.create ~capacity:1;
           cur_now = 0.;
           last_applied = 0;
-          closed = false }
+          closed = false;
+          fault = Atomic.make None;
+          fault_raised = false }
   in
   let t =
     { cfg = config; shards; ctx; pl;
@@ -393,10 +417,14 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
    | None -> ()
    | Some pl ->
      Array.iteri
-       (fun s w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_body t pl s)))
+       (fun s w ->
+         let body () = worker_body t pl s in
+         w.w_domain <- Some (Domain.spawn (fun () -> guard pl body)))
        pl.workers;
-     if deferred_upcalls config then
-       pl.handler <- Some (Domain.spawn (fun () -> handler_body t pl)));
+     if deferred_upcalls config then begin
+       let body () = handler_body t pl in
+       pl.handler <- Some (Domain.spawn (fun () -> guard pl body))
+     end);
   t
 
 let config t = t.cfg
@@ -430,10 +458,19 @@ let shard_for t flow = (t.shards.(shard_of t flow)).dp
 
 (* ---------- pipeline control (quiesce / submit / barrier) ---------- *)
 
-let spin_until cond =
+(* Driving-domain side of a fault: re-raise a domain's exception here. *)
+let raise_fault pl =
+  match Atomic.get pl.fault with
+  | Some (e, bt) ->
+    pl.fault_raised <- true;
+    Printexc.raise_with_backtrace e bt
+  | None -> ()
+
+let spin_until pl cond =
   if not (cond ()) then begin
     let spins = ref 0 in
     while not (cond ()) do
+      raise_fault pl;
       pause !spins;
       incr spins
     done
@@ -446,13 +483,13 @@ let spin_until cond =
 let quiesce pl =
   Array.iter
     (fun w ->
-      spin_until (fun () ->
+      spin_until pl (fun () ->
           Atomic.get w.w_done = w.w_submitted && Atomic.get w.w_quiet))
     pl.workers
 
-let push_spin r x =
+let push_spin pl r x =
   if not (Spsc_ring.push r x) then
-    spin_until (fun () -> Spsc_ring.push r x)
+    spin_until pl (fun () -> Spsc_ring.push r x)
 
 let ensure_scratch t n =
   if n > 0 && Array.length t.sc_idx.(0) < n then begin
@@ -491,9 +528,9 @@ let run_pipeline t pl ~now (b : Batch.t) ~charged =
       let pos = ref 0 in
       while !pos < len do
         let k = min t.cfg.batch_size (len - !pos) in
-        push_spin w.w_rx (if charged then k else -k);
+        push_spin pl w.w_rx (if charged then k else -k);
         for j = !pos to !pos + k - 1 do
-          push_spin w.w_rx idx.(j)
+          push_spin pl w.w_rx idx.(j)
         done;
         pos := !pos + k
       done;
@@ -501,7 +538,7 @@ let run_pipeline t pl ~now (b : Batch.t) ~charged =
     end
   done;
   Array.iter
-    (fun w -> spin_until (fun () -> Atomic.get w.w_done = w.w_submitted))
+    (fun w -> spin_until pl (fun () -> Atomic.get w.w_done = w.w_submitted))
     pl.workers
 
 (* Run one shard's slice of the parent batch, in arrival order, chopped
@@ -626,16 +663,26 @@ let close t =
   | None -> ()
   | Some pl ->
     if not pl.closed then begin
-      quiesce pl;
       pl.closed <- true;
-      Atomic.set pl.stop true;
-      Array.iter
-        (fun w ->
-          Option.iter Domain.join w.w_domain;
-          w.w_domain <- None)
-        pl.workers;
-      Option.iter Domain.join pl.handler;
-      pl.handler <- None
+      (* A fault already raised to the caller is not raised again; one
+         that no call has surfaced yet is raised once the domains are
+         joined. *)
+      let stop () =
+        Atomic.set pl.stop true;
+        Array.iter
+          (fun w ->
+            Option.iter Domain.join w.w_domain;
+            w.w_domain <- None)
+          pl.workers;
+        Option.iter Domain.join pl.handler;
+        pl.handler <- None
+      in
+      match if pl.fault_raised then () else quiesce pl with
+      | () -> stop ()
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        stop ();
+        Printexc.raise_with_backtrace e bt
     end
 
 let sum_int f t = Array.fold_left (fun acc s -> acc + f s) 0 t.shards

@@ -92,7 +92,10 @@ val create :
     All pipeline entry points ({!process}, {!process_batch},
     {!service_upcalls}, {!install_rules}, {!revalidate},
     {!reset_stats}, {!close}) must be called from one driving domain —
-    the SPSC rings assume a single producer.
+    the SPSC rings assume a single producer. An exception in a worker or
+    handler domain stops the pipeline's domains and is raised, with its
+    backtrace, from the driving domain's next pipeline call that waits
+    on them; it never leaves that call spinning.
 
     The pre-0.5 [?metrics]/[?tracer] arguments were removed, as
     CHANGES.md 0.5.0 announced; pass a [telemetry] context instead. *)
@@ -147,11 +150,12 @@ val remove_rules : t -> (Action.t Pi_classifier.Rule.t -> bool) -> int
 val process :
   t -> now:float -> Pi_classifier.Flow.t -> pkt_len:int ->
   Action.t * Cost_model.outcome
-(** Steer one packet to its shard and process it there. No batch
-    overhead is charged — single-packet processing is the degenerate
-    burst used by the parity tests. In pipeline mode the packet runs on
-    the shard's worker domain (same caches, same PRNG stream) and the
-    call blocks until it completes. *)
+(** Steer one packet to its shard and process it there as a one-packet
+    batch ({!Datapath.process}). No batch overhead is charged — this is
+    the uncharged degenerate burst the parity tests and per-flow probes
+    use. In pipeline mode the packet runs on the shard's worker domain
+    (same caches, same PRNG stream) and the call blocks until it
+    completes. *)
 
 val process_batch : t -> Batch.t -> now:float -> unit
 (** Process a {!Batch} in one rx round: packets are steered to their
@@ -199,7 +203,8 @@ val close : t -> unit
 (** Shut the pipeline down: quiesce, stop and join the worker and
     handler domains. Idempotent; a no-op in deterministic mode. Using
     {!process}/{!process_batch} after [close] raises
-    [Invalid_argument]. *)
+    [Invalid_argument]. After a domain fault, [close] still joins every
+    domain; it raises the fault only if no earlier call has. *)
 
 val cycles_used : t -> float
 (** Summed shard cycles, including amortised batch overhead. *)

@@ -1,6 +1,7 @@
 open Pi_pkt
 open Pi_classifier
 open Pi_ovs
+module Timeseries = Pi_telemetry.Timeseries
 
 type attack = {
   variant : Policy_injection.Variant.t;

@@ -100,3 +100,19 @@ module Astring_like = struct
     let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
     nn = 0 || go 0
 end
+
+(* One-packet megaflow lookup, the way the datapath runs it: a walk over
+   a burst of one, then its commit (the hinted commit when [hints] is
+   given). Returns the matching entry and the probes the packet paid. *)
+let mf_lookup ?hints mf flow ~now ~pkt_len =
+  let w = Pi_ovs.Megaflow.create_walk 1 in
+  Pi_ovs.Megaflow.walk_batch mf ?hints [| flow |] ~idx:[| 0 |] ~n:1 w;
+  (match hints with
+   | Some cache ->
+     Pi_ovs.Megaflow.commit_walk_hinted mf cache flow w 0 ~now ~pkt_len
+   | None -> Pi_ovs.Megaflow.commit_walk mf w 0 ~now ~pkt_len);
+  (w.Pi_ovs.Megaflow.w_entry.(0), w.Pi_ovs.Megaflow.w_probes.(0))
+
+(* [mf_lookup] without the probe count. *)
+let mf_find ?hints mf flow ~now ~pkt_len =
+  fst (mf_lookup ?hints mf flow ~now ~pkt_len)

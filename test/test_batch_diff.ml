@@ -1,16 +1,16 @@
-(* Differential property for the batch-first Dataplane API: chopping a
-   packet sequence into rx batches and running [process_batch] must be
-   observationally identical to folding per-packet [process] over the
-   same sequence — same actions, same outcome records, same statistics,
-   same per-shard mask census, and the same PRNG stream afterwards (EMC
-   insertion sampling draws from it, so a divergent draw order surfaces
-   as a diverging tail).
+(* Differential property for the batch-first Dataplane API: a batch of
+   n must be observationally identical to n batches of one — same
+   actions, same outcome records, same statistics, same per-shard mask
+   census, and the same PRNG stream afterwards (EMC insertion sampling
+   draws from it, so a divergent draw order surfaces as a diverging
+   tail). Per-packet [process], which the cache backends run as a
+   one-packet batch, must agree with both.
 
    The generated traffic mixes the whitelisted flow, the covert stream
-   (fresh masks, hence mid-batch upcalls — synchronous backends fall
-   back to the scalar path for the rest of the batch) and random flows;
-   batch sizes 1, 7 and 32 cover the degenerate, the ragged and the
-   rx-ring case, and sequence lengths indivisible by the batch size
+   (fresh masks, hence mid-batch upcalls — synchronous backends walk
+   each remaining packet of the batch again on its own) and random
+   flows; batch sizes 1, 7 and 32 cover the degenerate, the ragged and
+   the rx-ring case, and sequence lengths indivisible by the batch size
    leave a partial final batch. *)
 
 open Pi_ovs
@@ -52,33 +52,36 @@ let gen_case =
   let gen_pkt = pair gen_flow_mix (int_range 60 1500) in
   pair (list_size (int_range 1 80) gen_pkt) (oneofl [ 1; 7; 32 ])
 
-(* Both sides stamp packet [i] with the [now] of its rx round, so the
-   scalar reference sees exactly the timestamps the batch side does. *)
+(* Every side stamps packet [i] with the [now] of its rx round in the
+   batch-of-n run, so the one-packet references see exactly the
+   timestamps the batch side does. *)
 let now_of bs i = float_of_int (i / bs) *. 0.01
 
-let drive_scalar dp bs pkts =
+let drive_process dp bs pkts =
   List.mapi
     (fun i (f, len) -> Dataplane.process dp ~now:(now_of bs i) f ~pkt_len:len)
     pkts
 
-let drive_batch dp bs pkts =
+(* Run [pkts] as batches of [k] packets, stamped as in the batch-of-[bs]
+   run. *)
+let drive_batches dp ~k bs pkts =
   let arr = Array.of_list pkts in
   let n = Array.length arr in
-  let b = Batch.create ~capacity:bs in
+  let b = Batch.create ~capacity:k in
   let res = ref [] in
   let i = ref 0 in
   while !i < n do
-    let k = min bs (n - !i) in
+    let m = min k (n - !i) in
     Batch.clear b;
-    for j = 0 to k - 1 do
+    for j = 0 to m - 1 do
       let f, len = arr.(!i + j) in
       Batch.push b f ~pkt_len:len
     done;
     Dataplane.process_batch dp b ~now:(now_of bs !i);
-    for j = 0 to k - 1 do
+    for j = 0 to m - 1 do
       res := Batch.result b j :: !res
     done;
-    i := !i + k
+    i := !i + m
   done;
   List.rev !res
 
@@ -87,22 +90,31 @@ let mk backend =
   Dataplane.install_rules dp rules;
   dp
 
+(* [a] (batches of one) is the reference for [b] (batches of [bs]) and
+   [c] (per-packet [process]). *)
 let differential backend (pkts, bs) =
-  let a = mk backend and b = mk backend in
-  let ra = drive_scalar a bs pkts in
-  let rb = drive_batch b bs pkts in
-  let same_results = ra = rb in
-  let same_stats = Dataplane.stats a = Dataplane.stats b in
-  let same_masks = Dataplane.shard_masks a = Dataplane.shard_masks b in
+  let a = mk backend and b = mk backend and c = mk backend in
+  let ra = drive_batches a ~k:1 bs pkts in
+  let rb = drive_batches b ~k:bs bs pkts in
+  let rc = drive_process c bs pkts in
+  (* [f] runs once per dataplane: it may drive it *)
+  let all_same f =
+    let x = f a in
+    x = f b && x = f c
+  in
+  let same_results = ra = rb && ra = rc in
+  let same_stats = all_same Dataplane.stats in
+  let same_masks = all_same Dataplane.shard_masks in
   (* Deferred backends: the queues must drain identically... *)
   let same_service =
-    Dataplane.service_upcalls a ~now:9. = Dataplane.service_upcalls b ~now:9.
-    && Dataplane.stats a = Dataplane.stats b
+    all_same (fun d -> Dataplane.service_upcalls d ~now:9.)
+    && all_same Dataplane.stats
   in
   (* ...and the PRNG streams must still be in lockstep. *)
-  let ta = drive_scalar a 1 (List.map (fun f -> (f, 100)) tail) in
-  let tb = drive_scalar b 1 (List.map (fun f -> (f, 100)) tail) in
-  let same_tail = ta = tb && Dataplane.stats a = Dataplane.stats b in
+  let tail_pkts = List.map (fun f -> (f, 100)) tail in
+  let same_tail =
+    all_same (fun d -> drive_process d 1 tail_pkts) && all_same Dataplane.stats
+  in
   same_results && same_stats && same_masks && same_service && same_tail
 
 let backend_cases =

@@ -15,14 +15,13 @@ let test_insert_lookup () =
     Megaflow.insert mf ~key ~mask:(src_mask 8) ~action:Action.Drop ~revision:0
       ~now:0. ()
   in
-  let s = Megaflow.lookup_stats () in
-  match Megaflow.lookup_s mf s (Flow.make ~ip_src:(ip "10.9.9.9") ()) ~now:1. ~pkt_len:100 with
-  | Some e ->
+  match mf_lookup mf (Flow.make ~ip_src:(ip "10.9.9.9") ()) ~now:1. ~pkt_len:100 with
+  | Some e, probes ->
     Alcotest.(check action_t) "action" Action.Drop e.Megaflow.action;
-    Alcotest.(check int) "one probe" 1 s.Megaflow.s_probes;
+    Alcotest.(check int) "one probe" 1 probes;
     Alcotest.(check int) "stats pkts" 1 e.Megaflow.n_packets;
     Alcotest.(check int) "stats bytes" 100 e.Megaflow.n_bytes
-  | None -> Alcotest.fail "expected hit"
+  | None, _ -> Alcotest.fail "expected hit"
 
 let test_miss_probes_all_masks () =
   let mf = mk () in
@@ -30,10 +29,9 @@ let test_miss_probes_all_masks () =
     let key = Flow.make ~ip_src:(Int32.shift_left 1l (32 - i)) () in
     ignore (Megaflow.insert mf ~key ~mask:(src_mask i) ~action:Action.Drop ~revision:0 ~now:0. ())
   done;
-  let s = Megaflow.lookup_stats () in
-  match Megaflow.lookup_s mf s (Flow.make ~ip_src:0l ()) ~now:0. ~pkt_len:1 with
-  | None -> Alcotest.(check int) "probed all 5 masks" 5 s.Megaflow.s_probes
-  | Some _ -> Alcotest.fail "expected miss"
+  match mf_lookup mf (Flow.make ~ip_src:0l ()) ~now:0. ~pkt_len:1 with
+  | None, probes -> Alcotest.(check int) "probed all 5 masks" 5 probes
+  | Some _, _ -> Alcotest.fail "expected miss"
 
 let test_scan_order_is_creation_order () =
   let mf = mk () in
@@ -43,26 +41,26 @@ let test_scan_order_is_creation_order () =
   ignore (Megaflow.insert mf ~key:k1 ~mask:(src_mask 8) ~action:(Action.Output 1) ~revision:0 ~now:0. ());
   let k2 = Flow.make ~ip_src:(ip "10.0.0.1") () in
   ignore (Megaflow.insert mf ~key:k2 ~mask:(src_mask 32) ~action:(Action.Output 2) ~revision:0 ~now:0. ());
-  let s = Megaflow.lookup_stats () in
-  match Megaflow.lookup_s mf s (Flow.make ~ip_src:(ip "10.0.0.1") ()) ~now:0. ~pkt_len:1 with
-  | Some e ->
+  match mf_lookup mf (Flow.make ~ip_src:(ip "10.0.0.1") ()) ~now:0. ~pkt_len:1 with
+  | Some e, probes ->
     Alcotest.(check action_t) "first mask wins" (Action.Output 1) e.Megaflow.action;
-    Alcotest.(check int) "one probe" 1 s.Megaflow.s_probes
-  | None -> Alcotest.fail "expected hit"
+    Alcotest.(check int) "one probe" 1 probes
+  | None, _ -> Alcotest.fail "expected hit"
 
-(* [last_probes] is gone (0.11.0, as 0.10.0's CHANGES announced); the
-   caller-owned stats record is the only probe-reporting channel and a
-   plain [lookup] still answers without one. *)
+(* Each packet's probe count lives in its own slot of its walk's result
+   columns, so two walks in flight cannot clobber each other. *)
 let test_probe_reporting_post_retirement () =
   let mf = mk () in
-  let key = Flow.make ~ip_src:(ip "10.0.0.0") () in
-  ignore (Megaflow.insert mf ~key ~mask:(src_mask 8) ~action:Action.Drop ~revision:0 ~now:0. ());
-  (match Megaflow.lookup mf key ~now:0. ~pkt_len:1 with
-   | Some _ -> ()
-   | None -> Alcotest.fail "expected hit");
-  let s = Megaflow.lookup_stats () in
-  ignore (Megaflow.lookup_s mf s key ~now:0. ~pkt_len:1);
-  Alcotest.(check int) "caller-owned record reports" 1 s.Megaflow.s_probes
+  ignore (Megaflow.insert mf ~key:(Flow.make ~ip_src:(ip "10.0.0.0") ()) ~mask:(src_mask 8) ~action:Action.Drop ~revision:0 ~now:0. ());
+  ignore (Megaflow.insert mf ~key:(Flow.make ~ip_src:(ip "11.0.0.0") ()) ~mask:(src_mask 16) ~action:Action.Drop ~revision:0 ~now:0. ());
+  let w1 = Megaflow.create_walk 1 and w2 = Megaflow.create_walk 1 in
+  Megaflow.walk_batch mf [| Flow.make ~ip_src:(ip "10.0.0.1") () |] ~idx:[| 0 |] ~n:1 w1;
+  Megaflow.walk_batch mf [| Flow.make ~ip_src:(ip "11.0.0.1") () |] ~idx:[| 0 |] ~n:1 w2;
+  Megaflow.commit_walk mf w1 0 ~now:0. ~pkt_len:1;
+  Megaflow.commit_walk mf w2 0 ~now:0. ~pkt_len:1;
+  Alcotest.(check int) "first walk reports" 1 w1.Megaflow.w_probes.(0);
+  Alcotest.(check int) "second walk reports" 2 w2.Megaflow.w_probes.(0);
+  Alcotest.(check int) "both committed" 3 (Megaflow.total_probes mf)
 
 let test_replace_same_key () =
   let mf = mk () in
@@ -70,7 +68,7 @@ let test_replace_same_key () =
   ignore (Megaflow.insert mf ~key ~mask:(src_mask 8) ~action:Action.Drop ~revision:0 ~now:0. ());
   ignore (Megaflow.insert mf ~key ~mask:(src_mask 8) ~action:(Action.Output 3) ~revision:0 ~now:0. ());
   Alcotest.(check int) "still one entry" 1 (Megaflow.n_entries mf);
-  match Megaflow.lookup mf key ~now:0. ~pkt_len:1 with
+  match mf_find mf key ~now:0. ~pkt_len:1 with
   | Some e -> Alcotest.(check action_t) "replaced" (Action.Output 3) e.Megaflow.action
   | None -> Alcotest.fail "expected hit"
 
@@ -87,7 +85,7 @@ let test_usage_refreshes_idle () =
   let mf = mk ~config:{ Megaflow.max_entries = 100; idle_timeout = 10. } () in
   let key = Flow.make ~ip_src:(ip "10.0.0.0") () in
   ignore (Megaflow.insert mf ~key ~mask:(src_mask 8) ~action:Action.Drop ~revision:0 ~now:0. ());
-  ignore (Megaflow.lookup mf key ~now:8. ~pkt_len:1);
+  ignore (mf_find mf key ~now:8. ~pkt_len:1);
   Alcotest.(check int) "refreshed by traffic" 0 (Megaflow.revalidate mf ~now:15. ())
 
 let test_revision_keep () =
@@ -133,8 +131,8 @@ let test_counters () =
   let mf = mk () in
   let key = Flow.make ~ip_src:(ip "10.0.0.0") () in
   ignore (Megaflow.insert mf ~key ~mask:(src_mask 8) ~action:Action.Drop ~revision:0 ~now:0. ());
-  ignore (Megaflow.lookup mf key ~now:0. ~pkt_len:1);
-  ignore (Megaflow.lookup mf (Flow.make ~ip_src:(ip "99.0.0.1") ()) ~now:0. ~pkt_len:1);
+  ignore (mf_find mf key ~now:0. ~pkt_len:1);
+  ignore (mf_find mf (Flow.make ~ip_src:(ip "99.0.0.1") ()) ~now:0. ~pkt_len:1);
   Alcotest.(check int) "hits" 1 (Megaflow.hits mf);
   Alcotest.(check int) "misses" 1 (Megaflow.misses mf);
   Alcotest.(check int) "probes accumulated" 2 (Megaflow.total_probes mf);
@@ -152,7 +150,7 @@ let test_pp_entry () =
   let mf = mk () in
   let key = Flow.make ~ip_src:(ip "10.0.0.0") () in
   let e = Megaflow.insert mf ~key ~mask:(src_mask 9) ~action:Action.Drop ~revision:0 ~now:0. () in
-  ignore (Megaflow.lookup mf key ~now:4.2 ~pkt_len:100);
+  ignore (mf_find mf key ~now:4.2 ~pkt_len:100);
   let s = Format.asprintf "%a" (Megaflow.pp_entry ~now:6.7) e in
   Alcotest.(check bool) "prefix rendered" true
     (Astring_like.contains s "ip_src=10.0.0.0/9");
@@ -263,7 +261,7 @@ let test_churn_keeps_survivors_reachable () =
   in
   Alcotest.(check int) "half evicted" 250 evicted;
   for i = 0 to 499 do
-    match Megaflow.lookup mf (key i) ~now:0. ~pkt_len:1 with
+    match mf_find mf (key i) ~now:0. ~pkt_len:1 with
     | Some e when i mod 2 = 0 ->
       Alcotest.(check action_t) "survivor action" (Action.Output i) e.Megaflow.action
     | None when i mod 2 = 1 -> ()
@@ -282,6 +280,173 @@ let test_churn_keeps_survivors_reachable () =
   ignore (Megaflow.revalidate mf ~now:0. ~keep:(fun _ -> false) ());
   Alcotest.(check int) "drained" 0 (Megaflow.n_entries mf);
   Alcotest.(check int) "no masks left" 0 (Megaflow.n_masks mf)
+
+(* --- The walk against an independent reference ---
+
+   The reference knows nothing of the walk: it is built from the public
+   observers alone, [masks] for the scan order and [entries] for the
+   live entries. A packet's result is the first mask, by scan position,
+   under which some entry's key equals the packet's masked flow:
+   (that entry, position + 1 probes, position), or (no entry, every mask
+   probed, -1). Caches are built with many masks, so bursts take both
+   loop orders, and with overlapping entries, so first-match order
+   matters. *)
+
+let gen_mask =
+  let open QCheck2.Gen in
+  let* src = int_range 0 32 in
+  let* dport = int_range 0 16 in
+  return
+    (Mask.with_prefix (Mask.with_prefix Mask.empty Field.Ip_src src)
+       Field.Tp_dst dport)
+
+let gen_key =
+  let open QCheck2.Gen in
+  let* ip_src = map Int32.of_int (int_range 0 7) in
+  let* tp_dst = int_range 0 7 in
+  return (Flow.make ~ip_src ~tp_dst ())
+
+(* inserts, a revalidation that drops some entries (so subtables are
+   compacted away), a resort, the burst and its size *)
+let gen_walk_case =
+  let open QCheck2.Gen in
+  let* n_ins = oneof [ int_range 0 40; int_range 200 400 ] in
+  let* inserts = list_size (return n_ins) (pair gen_mask gen_key) in
+  let* drop_every = int_range 0 5 in
+  let* resort = bool in
+  let* n = oneofl [ 1; 7; 32 ] in
+  let* burst = list_size (return n) gen_key in
+  return (inserts, drop_every, resort, burst)
+
+let build_walk_case (inserts, drop_every, resort, burst) =
+  let mf = mk () in
+  List.iteri
+    (fun i (mask, key) ->
+      ignore
+        (Megaflow.insert mf ~key ~mask ~action:(Action.Output i)
+           ~revision:(if drop_every > 0 && i mod drop_every = 0 then 1 else 0)
+           ~now:0. ()))
+    inserts;
+  ignore (Megaflow.revalidate mf ~now:0. ~keep:(fun e -> e.Megaflow.revision = 0) ());
+  (* some hits first, so the resort has a ranking to apply *)
+  List.iter (fun f -> ignore (mf_find mf f ~now:0. ~pkt_len:1)) burst;
+  if resort then Megaflow.resort_by_hits mf;
+  (mf, Array.of_list burst)
+
+let reference mf =
+  let entries = Megaflow.entries mf in
+  let by_mask =
+    List.map
+      (fun m ->
+        (m, List.filter (fun (e : Megaflow.entry) -> Mask.equal e.Megaflow.mask m) entries))
+      (Megaflow.masks mf)
+  in
+  let n_masks = Megaflow.n_masks mf in
+  fun flow ->
+    let rec go i = function
+      | [] -> (None, n_masks, -1)
+      | (m, es) :: rest -> (
+        let masked = Mask.apply m flow in
+        match List.find_opt (fun (e : Megaflow.entry) -> Flow.equal e.Megaflow.key masked) es with
+        | Some e -> (Some e, i + 1, i)
+        | None -> go (i + 1) rest)
+    in
+    go 0 by_mask
+
+let prop_walk_matches_reference =
+  qtest ~count:150 "walk + commit ≡ first-match reference" gen_walk_case
+    (fun case ->
+      let mf, flows = build_walk_case case in
+      let n = Array.length flows in
+      let expected = Array.map (reference mf) flows in
+      let hits0 = Megaflow.hits mf and misses0 = Megaflow.misses mf in
+      let probes0 = Megaflow.total_probes mf in
+      let w = Megaflow.create_walk n in
+      Megaflow.walk_batch mf flows ~idx:(Array.init n Fun.id) ~n w;
+      for j = 0 to n - 1 do
+        Megaflow.commit_walk mf w j ~now:1. ~pkt_len:1
+      done;
+      let same_slot j (e, probes, tbl) =
+        (match (w.Megaflow.w_entry.(j), e) with
+         | Some a, Some b -> a == b
+         | None, None -> true
+         | _ -> false)
+        && w.Megaflow.w_probes.(j) = probes
+        && w.Megaflow.w_tbl.(j) = tbl
+      in
+      let n_hits = Array.fold_left (fun acc (e, _, _) -> if e = None then acc else acc + 1) 0 expected in
+      let sum_probes = Array.fold_left (fun acc (_, p, _) -> acc + p) 0 expected in
+      Array.for_all Fun.id (Array.mapi (fun j x -> same_slot j x) expected)
+      && Megaflow.hits mf - hits0 = n_hits
+      && Megaflow.misses mf - misses0 = n - n_hits
+      && Megaflow.total_probes mf - probes0 = sum_probes)
+
+(* The kernel flavour has no reference of its own: a burst walked with
+   hints and committed in order must equal the same packets looked up
+   one at a time — entries, probes, hint hits and misses — even when
+   the burst's packets share hint slots (a 4-slot cache) and overwrite
+   each other's hints between the walk and their commits. *)
+let prop_hinted_burst_is_one_at_a_time =
+  qtest ~count:150 "hinted walk: burst ≡ one at a time" gen_walk_case
+    (fun case ->
+      let setup () =
+        let mf, flows = build_walk_case case in
+        let cache = Mask_cache.create ~capacity:4 () in
+        (* warm hints, then age some of them with a second pass *)
+        Array.iter (fun f -> ignore (mf_find ~hints:cache mf f ~now:0. ~pkt_len:1)) flows;
+        (mf, cache, flows)
+      in
+      let mf_a, cache_a, flows = setup () in
+      let mf_b, cache_b, _ = setup () in
+      let n = Array.length flows in
+      let w = Megaflow.create_walk n in
+      Megaflow.walk_batch mf_a ~hints:cache_a flows ~idx:(Array.init n Fun.id) ~n w;
+      let burst =
+        List.init n (fun j ->
+            Megaflow.commit_walk_hinted mf_a cache_a flows.(j) w j ~now:1. ~pkt_len:1;
+            (w.Megaflow.w_entry.(j), w.Megaflow.w_probes.(j)))
+      in
+      let singles =
+        List.init n (fun j -> mf_lookup ~hints:cache_b mf_b flows.(j) ~now:1. ~pkt_len:1)
+      in
+      let shape = function
+        | Some (e : Megaflow.entry) -> Some (e.Megaflow.key, e.Megaflow.action)
+        | None -> None
+      in
+      List.for_all2
+        (fun (ea, pa) (eb, pb) -> shape ea = shape eb && pa = pb)
+        burst singles
+      && Mask_cache.hits cache_a = Mask_cache.hits cache_b
+      && Mask_cache.misses cache_a = Mask_cache.misses cache_b
+      && Megaflow.total_probes mf_a = Megaflow.total_probes mf_b)
+
+(* The subtable-major loop reads its burst unchecked; a bad index row
+   or an oversized burst must be refused before it, in both orders. *)
+let test_walk_rejects_bad_indices () =
+  List.iter
+    (fun n_masks ->
+      let mf = mk () in
+      for i = 1 to n_masks do
+        ignore
+          (Megaflow.insert mf ~key:(Flow.make ~tp_dst:i ())
+             ~mask:(Mask.with_prefix (src_mask (i mod 33)) Field.Tp_dst (i / 33 + 1))
+             ~action:Action.Drop ~revision:0 ~now:0. ())
+      done;
+      let flows = Array.make 4 Flow.zero in
+      let w = Megaflow.create_walk 4 in
+      let refused what f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.failf "%s accepted at %d masks" what n_masks
+      in
+      refused "index past the flows" (fun () ->
+          Megaflow.walk_batch mf flows ~idx:[| 0; 1; 4; 2 |] ~n:4 w);
+      refused "burst past the index row" (fun () ->
+          Megaflow.walk_batch mf flows ~idx:[| 0; 1 |] ~n:3 w);
+      refused "burst past the result columns" (fun () ->
+          Megaflow.walk_batch mf (Array.make 8 Flow.zero)
+            ~idx:(Array.init 8 Fun.id) ~n:8 w))
+    [ 4; 200 ]
 
 let suite =
   [ Alcotest.test_case "insert/lookup" `Quick test_insert_lookup;
@@ -304,4 +469,7 @@ let suite =
     Alcotest.test_case "has_mask" `Quick test_has_mask;
     Alcotest.test_case "subtable stats probe health" `Quick test_subtable_stats_probe_health;
     Alcotest.test_case "churn keeps survivors reachable" `Quick test_churn_keeps_survivors_reachable;
-    Alcotest.test_case "generation tracks reorders" `Quick test_generation_tracks_reorders ]
+    Alcotest.test_case "generation tracks reorders" `Quick test_generation_tracks_reorders;
+    Alcotest.test_case "walk rejects bad indices" `Quick test_walk_rejects_bad_indices;
+    prop_walk_matches_reference;
+    prop_hinted_burst_is_one_at_a_time ]

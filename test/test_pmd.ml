@@ -326,6 +326,66 @@ let test_pipeline_single_packet_and_close () =
    | _ -> Alcotest.fail "process_burst after close should raise");
   Pmd.close det  (* no-op in deterministic mode *)
 
+(* Run [f] on its own domain and wait at most [secs] for it: a pipeline
+   that hangs fails the test instead of stalling the suite. *)
+let within ~secs f =
+  let res = Atomic.make None in
+  let d = Domain.spawn (fun () -> Atomic.set res (Some (try Ok (f ()) with e -> Error e))) in
+  let deadline = Unix.gettimeofday () +. secs in
+  while Atomic.get res = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  match Atomic.get res with
+  | Some r -> Domain.join d; r
+  | None -> Alcotest.failf "no answer within %.0f s: the pipeline hung" secs
+
+let boom_dp =
+  { Datapath.default_config with
+    Datapath.megaflow_transform = Some (fun _ -> failwith "boom") }
+
+let expect_boom what = function
+  | Error (Failure m) when m = "boom" -> ()
+  | Error e -> Alcotest.failf "%s raised %s, not the fault" what (Printexc.to_string e)
+  | Ok () -> Alcotest.failf "%s returned despite the fault" what
+
+(* A fault in a pipeline domain is raised in the driving domain, and the
+   engine still closes (twice, the second time a no-op). *)
+let test_pipeline_fault_raises () =
+  (* synchronous upcalls: the worker's own install raises *)
+  let pipe =
+    Pmd.create
+      ~config:{ Pmd.default_config with Pmd.mode = Pmd.Pipeline; dp = boom_dp }
+      (Prng.create 1L) ()
+  in
+  Pmd.install_rules pipe rules;
+  let f = Flow.make ~ip_src:(ip "10.0.0.1") () in
+  expect_boom "process"
+    (within ~secs:20. (fun () -> ignore (Pmd.process pipe ~now:0. f ~pkt_len:64)));
+  (match within ~secs:20. (fun () -> Pmd.close pipe) with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "close re-raised %s" (Printexc.to_string e));
+  Pmd.close pipe;
+  (* deferred upcalls, two shards: the fault happens while a worker
+     applies a verdict after the burst returned, and surfaces at the
+     next wait *)
+  let pipe =
+    Pmd.create
+      ~config:
+        { Pmd.default_config with
+          Pmd.n_shards = 2; mode = Pmd.Pipeline;
+          dp = { boom_dp with Datapath.upcall_queue = Upcall_queue.bounded 64 } }
+      (Prng.create 1L) ()
+  in
+  Pmd.install_rules pipe rules;
+  let b = Batch.create ~capacity:32 in
+  Batch.fill b (flow_stream ~seed:3L 32);
+  expect_boom "service_upcalls"
+    (within ~secs:20. (fun () ->
+         Pmd.process_batch pipe b ~now:0.;
+         ignore (Pmd.service_upcalls pipe ~now:0.)));
+  Pmd.close pipe;
+  Pmd.close pipe
+
 let test_pipeline_reset_stats () =
   (* reset_stats quiesces, drains and zeroes: the next window starts
      clean and the engines stay in lockstep afterwards. *)
@@ -401,4 +461,6 @@ let suite =
     Alcotest.test_case "pipeline single-packet parity and close" `Quick
       test_pipeline_single_packet_and_close;
     Alcotest.test_case "pipeline reset_stats" `Quick test_pipeline_reset_stats;
+    Alcotest.test_case "pipeline fault raises, not hangs" `Quick
+      test_pipeline_fault_raises;
     Alcotest.test_case "per-shard metrics" `Quick test_per_shard_metrics ]
