@@ -18,14 +18,21 @@ type entry = {
    below [s_count]; the option box is what a hit returns, so the probe
    path allocates nothing — the EMC "stored Some" trick). Deleted cells
    are compacted by swap-with-last; candidates are verified with
-   [Mask.equal_masked], so no masked flow is built either. *)
+   [Mask.equal_masked_on], so no masked flow is built either. The
+   in-subtable hash is [masked_fp]: [s_words] holds the mask's word
+   of each support field, parallel to [s_support]. [s_filter] is the
+   subtable's one-word hash filter (see the probe index below) and
+   [s_pos] its current scan position. *)
 type subtable = {
   s_mask : Mask.t;
   s_support : int array;                  (* Mask.support s_mask *)
+  s_words : int array;                    (* s_mask's word per support field *)
   s_tbl : Flat_tbl.t;                     (* masked-key hash -> arena index *)
   mutable s_arena : entry option array;   (* slots [0, s_count) are Some *)
   mutable s_count : int;
   mutable s_hits : int;
+  mutable s_filter : int;
+  mutable s_pos : int;
 }
 
 type config = {
@@ -41,13 +48,28 @@ let default_config = { max_entries = 200_000; idle_timeout = 10.0 }
    is an amortised-O(1) append. [generation] counts the reorderings
    (resort, compaction, flush) that invalidate any previously handed-out
    subtable index — the {!Mask_cache} hints — while plain appends leave
-   existing indices valid and do not bump it. *)
+   existing indices valid and do not bump it.
+
+   The packed probe index (DESIGN.md §16) sits beside [arr]: [index]
+   holds [block] ints per subtable position, and [word_ids] interns the
+   (field, mask word) pairs the blocks name, with their field and word
+   in [word_field]/[word_mask]. [hashes] and [cands] are walk scratch:
+   the walked packets' hashes of every interned word, and the packets
+   that pass a subtable's filter. The arrays are allocated with the
+   first subtable or the first long walk, not by [create]. *)
 type t = {
   cfg : config;
   by_mask : subtable Tables.Mask_tbl.t;
   mutable arr : subtable array;     (* slots [0, n_tables) are live *)
   mutable n_tables : int;
   mutable generation : int;
+  mutable index : int array;        (* [block] ints per subtable position *)
+  word_ids : (int, int) Hashtbl.t;
+  mutable word_field : int array;
+  mutable word_mask : int array;
+  mutable n_words : int;            (* including the zero word, id 0 *)
+  mutable hashes : int array;
+  mutable cands : int array;
   mutable n : int;
   mutable hits : int;
   mutable misses : int;
@@ -75,6 +97,13 @@ let create ?(config = default_config) ?metrics () =
     arr = [||];
     n_tables = 0;
     generation = 0;
+    index = [||];
+    word_ids = Hashtbl.create 16;
+    word_field = [||];
+    word_mask = [||];
+    n_words = 1;
+    hashes = [||];
+    cands = [||];
     n = 0;
     hits = 0;
     misses = 0;
@@ -112,6 +141,94 @@ let iter_entries f st =
     | None -> assert false
   done
 
+(* --- The in-subtable hash -------------------------------------------
+
+   A key's fingerprint under a subtable is [masked_fp st k = xor over
+   the support fields f of word_hash f (mask word of f land k.(f))]:
+   the flat store is keyed by [finish] of it, and the subtable's filter
+   by [filter_bits] of it. Because the per-field terms combine by xor,
+   each (field, mask word) term of a packet can be computed once and
+   shared by every subtable whose mask has that word: the walk's
+   precomputed [hashes]. Each term is already fully mixed, so a probe
+   needs nothing after the xor. Inserts, removals and probes all use
+   this one fingerprint, so its value only has to agree with itself. *)
+
+(* Multiply, then fold the high half down: every output bit depends on
+   every bit of the (at most 48-bit) field value. *)
+let[@inline] word_hash f v =
+  let y = (v lxor ((f + 1) * 0x3C6EF372FE94F82B)) * 0x2545F4914F6CDD1D in
+  y lxor (y lsr 29)
+
+let[@inline] finish fp = (fp lxor (fp lsr 31)) land max_int
+
+(* The filter is one word, a two-probe Bloom filter over the present
+   keys: [filter_bits fp] sets the bits numbered by the top two 6-bit
+   fields of the fingerprint. Position 63 lies beyond the immediate int
+   and contributes nothing, which only weakens the test: a probe checks
+   [filter land filter_bits fp = filter_bits fp], the same bits an
+   insert ORs in, so a present key always passes. *)
+let[@inline] filter_bits fp =
+  (1 lsl (fp lsr 57)) lor (1 lsl ((fp lsr 51) land 63))
+
+let rec xor_words sup words kf k acc =
+  if k < 0 then acc
+  else begin
+    let f = Array.unsafe_get sup k in
+    xor_words sup words kf (k - 1)
+      (acc lxor word_hash f (Array.unsafe_get words k land Array.unsafe_get kf f))
+  end
+
+(* [kf] is the flow's field array ([Flow.unsafe_fields]). *)
+let masked_fp st kf =
+  xor_words st.s_support st.s_words kf (Array.length st.s_support - 1) 0
+
+(* --- The packed probe index ------------------------------------------
+
+   [block] ints per subtable position: the filter, the support size,
+   then the ids of the support's interned (field, mask word) pairs,
+   padded with id 0, the zero word, whose hash is 0 for every packet. A
+   subtable with more than [max_packed] support fields has no ids; the
+   walk hashes it from its own words. *)
+
+let block = 8
+let max_packed = block - 2
+
+let intern t f w =
+  let key = (f lsl 48) lor w in
+  match Hashtbl.find_opt t.word_ids key with
+  | Some id -> id
+  | None ->
+    let id = t.n_words in
+    if id >= Array.length t.word_field then begin
+      let grow a = Array.append a (Array.make (max 16 (Array.length a)) 0) in
+      t.word_field <- grow t.word_field;
+      t.word_mask <- grow t.word_mask
+    end;
+    t.word_field.(id) <- f;
+    t.word_mask.(id) <- w;
+    t.n_words <- id + 1;
+    Hashtbl.add t.word_ids key id;
+    id
+
+(* Write [st]'s block at its position; the index must hold it. *)
+let write_block t st =
+  let b = st.s_pos * block in
+  let sz = Array.length st.s_support in
+  t.index.(b) <- st.s_filter;
+  t.index.(b + 1) <- sz;
+  for k = 0 to max_packed - 1 do
+    t.index.(b + 2 + k) <-
+      (if sz <= max_packed && k < sz then intern t st.s_support.(k) st.s_words.(k)
+       else 0)
+  done
+
+let ensure_index t n_slots =
+  if Array.length t.index < n_slots * block then begin
+    let ix = Array.make (n_slots * block) 0 in
+    Array.blit t.index 0 ix 0 (Array.length t.index);
+    t.index <- ix
+  end
+
 let push_subtable t st =
   let cap = Array.length t.arr in
   if t.n_tables = cap then begin
@@ -119,16 +236,26 @@ let push_subtable t st =
     Array.blit t.arr 0 arr 0 cap;
     t.arr <- arr
   end;
+  ensure_index t (Array.length t.arr);
   t.arr.(t.n_tables) <- st;
+  st.s_pos <- t.n_tables;
+  write_block t st;
   t.n_tables <- t.n_tables + 1
 
 (* Replace the live prefix with [l]; any outstanding index is now stale,
-   so the generation advances. *)
+   so the generation advances. The probe index is rebuilt from the new
+   prefix, words included, so words of dropped subtables go with them. *)
 let set_tables t l =
   t.arr <- Array.of_list l;
   t.n_tables <- Array.length t.arr;
   t.generation <- t.generation + 1;
+  Hashtbl.reset t.word_ids;
+  t.n_words <- 1;
+  ensure_index t t.n_tables;
+  Array.iteri (fun i st -> st.s_pos <- i; write_block t st) t.arr;
   sync_gauges t
+
+let n_interned_words t = t.n_words - 1
 
 let bump ?(by = 1) = function
   | Some c -> Pi_telemetry.Metrics.incr ~by c
@@ -145,13 +272,41 @@ let rec probe_entries st flow h slot =
     | _ -> probe_entries st flow h (Flat_tbl.next st.s_tbl h slot)
   end
 
-let find_in_subtable st flow =
-  let h = Mask.hash_masked_on st.s_support st.s_mask flow in
+(* [h] passed the filter: look it up in the flat store. A filter false
+   positive usually finds no slot, so [probe_entries] is only entered on
+   a hash match. *)
+let find_hashed st flow h =
   let slot = Flat_tbl.find_first st.s_tbl h in
-  (* The common attack-regime outcome — no entry under this mask — must
-     not pay a call: [probe_entries] is only entered on a hash match.
-     On the 8192-mask walk that call was a measurable per-probe tax. *)
   if slot < 0 then None else probe_entries st flow h slot
+
+(* One probe of [st], hashing the flow from the subtable's own words. *)
+let find_in_subtable st flow =
+  let fp = masked_fp st (Flow.unsafe_fields flow) in
+  let m = filter_bits fp in
+  if st.s_filter land m <> m then None else find_hashed st flow (finish fp)
+
+(* One probe of the subtable at position [ti] through its block, with
+   the packet's word hashes at [hashes.(id)] (a one-packet row, see
+   [fill_hashes]). The ids are below [n_words], which the row covers,
+   and [ti < n_tables], so the loads are unchecked. Ids past the support
+   name the zero word, so all six are xored whatever the support size. *)
+let find_packed t ti flow =
+  let ix = t.index and g = t.hashes in
+  let b = ti * block in
+  let fp =
+    if Array.unsafe_get ix (b + 1) > max_packed then
+      masked_fp (Array.unsafe_get t.arr ti) (Flow.unsafe_fields flow)
+    else
+      Array.unsafe_get g (Array.unsafe_get ix (b + 2))
+      lxor Array.unsafe_get g (Array.unsafe_get ix (b + 3))
+      lxor Array.unsafe_get g (Array.unsafe_get ix (b + 4))
+      lxor Array.unsafe_get g (Array.unsafe_get ix (b + 5))
+      lxor Array.unsafe_get g (Array.unsafe_get ix (b + 6))
+      lxor Array.unsafe_get g (Array.unsafe_get ix (b + 7))
+  in
+  let m = filter_bits fp in
+  if Array.unsafe_get ix b land m <> m then None
+  else find_hashed (Array.unsafe_get t.arr ti) flow (finish fp)
 
 let hit_entry t st e ~now ~pkt_len ~probes =
   e.last_used <- now;
@@ -204,24 +359,61 @@ let hinted = -1
    DESIGN.md §5b. *)
 let subtable_major_min_tables = 128
 
+(* The packed probe index pays off once the walk is long: a walk over at
+   least [subtable_major_min_tables] subtables first hashes each of its
+   packets against every interned word ([fill_hashes]), and then probes
+   through the blocks. A shorter walk hashes each probe from the
+   subtable's own words. Every subtable-major walk is therefore packed. *)
+let packed_walk t = t.n_tables >= subtable_major_min_tables
+
+(* Room for the word hashes of [n] packets, and their filter passes. *)
+let ensure_hashes t n =
+  let len = n * t.n_words in
+  if Array.length t.hashes < len then
+    t.hashes <- Array.make (max len (2 * Array.length t.hashes)) 0;
+  if Array.length t.cands < n then t.cands <- Array.make n 0
+
+(* [flow]'s hash of every interned word, 0 for the zero word, as packet
+   [j] of [n]: word [id]'s hash of the burst's packets is the run
+   [hashes.(id * n) ..], so a subtable-major probe reads each of its
+   words' runs in order. A one-packet row ([n = 1]) is [hashes.(id)]. *)
+let fill_hashes t flow j n =
+  let g = t.hashes and kf = Flow.unsafe_fields flow in
+  g.(j) <- 0;
+  for id = 1 to t.n_words - 1 do
+    let f = t.word_field.(id) in
+    g.((id * n) + j) <- word_hash f (t.word_mask.(id) land kf.(f))
+  done
+
 (* Packet-major walk of slot [j] from subtable [ti] on: the first match,
-   or a miss that paid every probe. Writes all three columns. Top-level
-   recursion, not an inner closure, so the walk allocates nothing; a hit
-   stores the arena's own option. *)
-let rec walk_packet t w flow j ti =
+   or a miss that paid every probe. Writes all three columns. With
+   [packed], the probes read the packet's one-packet row of word
+   hashes; otherwise each hashes from the subtable's words. Top-level
+   recursion, not an inner closure, so the walk allocates nothing; a
+   hit stores the arena's own option. *)
+let rec walk_packet t w flow j ti packed =
   if ti >= t.n_tables then begin
     w.w_entry.(j) <- None;
     w.w_probes.(j) <- ti;
     w.w_tbl.(j) <- -1
   end
   else begin
-    match find_in_subtable t.arr.(ti) flow with
+    match
+      if packed then find_packed t ti flow else find_in_subtable t.arr.(ti) flow
+    with
     | Some _ as r ->
       w.w_entry.(j) <- r;
       w.w_probes.(j) <- ti + 1;
       w.w_tbl.(j) <- ti
-    | None -> walk_packet t w flow j (ti + 1)
+    | None -> walk_packet t w flow j (ti + 1) packed
   end
+
+(* Subtable-major resolution of packet [j] under subtable [ti]. *)
+let resolve t w j ti r =
+  w.w_entry.(j) <- r;
+  w.w_probes.(j) <- ti + 1;
+  w.w_tbl.(j) <- ti;
+  t.w_remaining <- t.w_remaining - 1
 
 (* Subtable-major: one subtable over the still-unresolved packets
    ([w_tbl.(j) < 0]). The probe count is not tallied per probe: a packet
@@ -242,18 +434,65 @@ let walk_table t st flows idx n w ti =
       match
         find_in_subtable st (Array.unsafe_get flows (Array.unsafe_get idx j))
       with
-      | Some _ as r ->
-        w.w_entry.(j) <- r;
-        w.w_probes.(j) <- ti + 1;
-        tbl.(j) <- ti;
-        t.w_remaining <- t.w_remaining - 1
+      | Some _ as r -> resolve t w j ti r
       | None -> ()
     end
   done
 
+(* The same over the probe index, in two passes. The first reads the
+   block once and tests each unresolved packet's fingerprint — six loads
+   from the word-hash runs and their xor; ids past the support name the
+   zero word, whose run is all 0 — against the filter, listing the
+   packets that pass in [cands]; it calls nothing, so its loop state
+   stays in registers. The second takes the few passing packets to the
+   subtable's flat store. A subtable with more than [max_packed] fields
+   has no ids and is walked from its own words. *)
+(* Packet [j]'s fingerprint from the runs at offsets [o0 .. o5] of the
+   word-hash table. Top-level, not a closure over the offsets, so calling
+   it allocates nothing. *)
+let[@inline] run_fp g o0 o1 o2 o3 o4 o5 j =
+  Array.unsafe_get g (o0 + j) lxor Array.unsafe_get g (o1 + j)
+  lxor Array.unsafe_get g (o2 + j) lxor Array.unsafe_get g (o3 + j)
+  lxor Array.unsafe_get g (o4 + j) lxor Array.unsafe_get g (o5 + j)
+
+let walk_table_packed t flows idx n w ti =
+  let ix = t.index in
+  let b = ti * block in
+  if ix.(b + 1) > max_packed then walk_table t t.arr.(ti) flows idx n w ti
+  else begin
+    (* [ti < n_tables], so the index holds the whole block *)
+    let g = t.hashes and tbl = w.w_tbl and cands = t.cands in
+    let filter = Array.unsafe_get ix b in
+    let o0 = Array.unsafe_get ix (b + 2) * n
+    and o1 = Array.unsafe_get ix (b + 3) * n
+    and o2 = Array.unsafe_get ix (b + 4) * n
+    and o3 = Array.unsafe_get ix (b + 5) * n
+    and o4 = Array.unsafe_get ix (b + 6) * n
+    and o5 = Array.unsafe_get ix (b + 7) * n in
+    let nc = ref 0 in
+    for j = 0 to n - 1 do
+      if Array.unsafe_get tbl j < 0 then begin
+        let m = filter_bits (run_fp g o0 o1 o2 o3 o4 o5 j) in
+        if filter land m = m then begin
+          Array.unsafe_set cands !nc j;
+          incr nc
+        end
+      end
+    done;
+    for c = 0 to !nc - 1 do
+      let j = cands.(c) in
+      match
+        find_hashed t.arr.(ti) (Array.unsafe_get flows (Array.unsafe_get idx j))
+          (finish (run_fp g o0 o1 o2 o3 o4 o5 j))
+      with
+      | Some _ as r -> resolve t w j ti r
+      | None -> ()
+    done
+  end
+
 let rec walk_tables t flows idx n w ti =
   if t.w_remaining > 0 && ti < t.n_tables then begin
-    walk_table t t.arr.(ti) flows idx n w ti;
+    walk_table_packed t flows idx n w ti;
     walk_tables t flows idx n w (ti + 1)
   end
 
@@ -284,13 +523,19 @@ let walk_batch t ?hints flows ~idx ~n w =
        Mask_cache.sync_generation cache t.generation;
      w.w_hints <- cache.Mask_cache.version
    | None -> ());
-  if n = 1 || t.n_tables < subtable_major_min_tables then
+  let packed = packed_walk t in
+  if n = 1 || t.n_tables < subtable_major_min_tables then begin
+    if packed then ensure_hashes t 1;
     for j = 0 to n - 1 do
       let flow = flows.(idx.(j)) in
       match hints with
       | Some cache when hint_hit t cache flow w j -> ()
-      | Some _ | None -> walk_packet t w flow j 0
+      | Some _ | None ->
+        (* packets walk one after another, so one row serves them all *)
+        if packed then fill_hashes t flow 0 1;
+        walk_packet t w flow j 0 packed
     done
+  end
   else begin
     t.w_remaining <- n;
     for j = 0 to n - 1 do
@@ -302,6 +547,10 @@ let walk_batch t ?hints flows ~idx ~n w =
       | Some _ | None ->
         w.w_entry.(j) <- None;
         w.w_probes.(j) <- t.n_tables
+    done;
+    ensure_hashes t n;
+    for j = 0 to n - 1 do
+      if w.w_tbl.(j) < 0 then fill_hashes t flows.(idx.(j)) j n
     done;
     walk_tables t flows idx n w 0
   end
@@ -346,7 +595,7 @@ let commit_walk_hinted t cache flow w j ~now ~pkt_len =
     | None ->
       Mask_cache.note_miss cache;
       (* resolved by a hint that has been overwritten since *)
-      if by_hint then walk_packet t w flow j 0;
+      if by_hint then walk_packet t w flow j 0 false;
       if in_range then w.w_probes.(j) <- w.w_probes.(j) + 1;
       if w.w_tbl.(j) >= 0 then Mask_cache.record cache flow w.w_tbl.(j);
       commit_walk t w j ~now ~pkt_len
@@ -362,8 +611,20 @@ let resort_by_hits t =
   List.iter (fun st -> st.s_hits <- st.s_hits / 2) l;
   set_tables t l
 
+(* [st]'s filter moved to [f]: keep its block's copy in step. *)
+let set_filter t st f =
+  st.s_filter <- f;
+  t.index.(st.s_pos * block) <- f
+
+(* A removal leaves the filter a superset, which is all a probe needs;
+   while the subtable is this small it is recomputed exactly instead, so
+   masks that drain to one entry shed the stale bits. *)
+let exact_filter_max = 8
+
+let entry_fp st (e : entry) = masked_fp st (Flow.unsafe_fields e.key)
+
 let remove_entry t st (e : entry) =
-  let h = Mask.hash_masked_on st.s_support st.s_mask e.key in
+  let h = finish (entry_fp st e) in
   (* Locate the hash slot pointing at [e] (physical identity — several
      arena cells can share a hash). *)
   let rec find_slot slot =
@@ -384,7 +645,7 @@ let remove_entry t st (e : entry) =
     match st.s_arena.(last) with
     | Some moved as m ->
       st.s_arena.(idx) <- m;
-      let hm = Mask.hash_masked_on st.s_support st.s_mask moved.key in
+      let hm = finish (entry_fp st moved) in
       let rec fix s =
         if s < 0 then assert false
         else if Flat_tbl.value st.s_tbl s = last then
@@ -396,6 +657,11 @@ let remove_entry t st (e : entry) =
   end;
   st.s_arena.(last) <- None;
   st.s_count <- last;
+  if last <= exact_filter_max then begin
+    let f = ref 0 in
+    iter_entries (fun x -> f := !f lor filter_bits (entry_fp st x)) st;
+    set_filter t st !f
+  end;
   e.alive <- false;
   t.n <- t.n - 1;
   sync_gauges t
@@ -477,10 +743,12 @@ let insert t ~key ~mask ~action ~revision ~now ?origin () =
     match Tables.Mask_tbl.find_opt t.by_mask mask with
     | Some st -> st
     | None ->
+      let support = Mask.support mask in
       let st =
-        { s_mask = mask; s_support = Mask.support mask;
+        { s_mask = mask; s_support = support;
+          s_words = Array.map (fun i -> Mask.get mask (Field.of_index i)) support;
           s_tbl = Flat_tbl.create (); s_arena = [||];
-          s_count = 0; s_hits = 0 }
+          s_count = 0; s_hits = 0; s_filter = 0; s_pos = 0 }
       in
       Tables.Mask_tbl.add t.by_mask mask st;
       push_subtable t st;
@@ -502,7 +770,9 @@ let insert t ~key ~mask ~action ~revision ~now ?origin () =
     st.s_arena <- na
   end;
   st.s_arena.(st.s_count) <- Some e;
-  Flat_tbl.add st.s_tbl (Mask.hash_masked_on st.s_support st.s_mask key) st.s_count;
+  let fp = entry_fp st e in
+  Flat_tbl.add st.s_tbl (finish fp) st.s_count;
+  set_filter t st (st.s_filter lor filter_bits fp);
   st.s_count <- st.s_count + 1;
   t.n <- t.n + 1;
   sync_gauges t;

@@ -142,6 +142,14 @@ val n_entries : t -> int
 val n_masks : t -> int
 (** O(1): maintained as a counter, not a list length. *)
 
+val n_interned_words : t -> int
+(** Introspection of the packed probe index: the number of distinct
+    (field, mask word) pairs it currently interns for the walk's shared
+    word hashes. Words come only from live subtables of at most six
+    support fields and are re-interned whenever subtables are reordered
+    or dropped, so this never exceeds the sum of the live subtables'
+    support sizes. *)
+
 val masks : t -> Pi_classifier.Mask.t list
 (** In scan order. *)
 

@@ -333,53 +333,72 @@ let build_walk_case (inserts, drop_every, resort, burst) =
   if resort then Megaflow.resort_by_hits mf;
   (mf, Array.of_list burst)
 
+(* The reference's two questions: [first flow] is the first match by
+   scan position, as (entry, probes, position), and [match_at i flow]
+   is the entry under the mask at position [i] that the flow matches,
+   if any. Entries are grouped by mask once, so a check costs one pass
+   over the masks per packet. *)
 let reference mf =
-  let entries = Megaflow.entries mf in
+  let groups = Tables.Mask_tbl.create 64 in
+  List.iter
+    (fun (e : Megaflow.entry) ->
+      let es = Option.value ~default:[] (Tables.Mask_tbl.find_opt groups e.Megaflow.mask) in
+      Tables.Mask_tbl.replace groups e.Megaflow.mask (e :: es))
+    (Megaflow.entries mf);
   let by_mask =
-    List.map
-      (fun m ->
-        (m, List.filter (fun (e : Megaflow.entry) -> Mask.equal e.Megaflow.mask m) entries))
-      (Megaflow.masks mf)
+    Array.of_list
+      (List.map
+         (fun m -> (m, Option.value ~default:[] (Tables.Mask_tbl.find_opt groups m)))
+         (Megaflow.masks mf))
   in
-  let n_masks = Megaflow.n_masks mf in
-  fun flow ->
-    let rec go i = function
-      | [] -> (None, n_masks, -1)
-      | (m, es) :: rest -> (
-        let masked = Mask.apply m flow in
-        match List.find_opt (fun (e : Megaflow.entry) -> Flow.equal e.Megaflow.key masked) es with
-        | Some e -> (Some e, i + 1, i)
-        | None -> go (i + 1) rest)
-    in
-    go 0 by_mask
+  let n_masks = Array.length by_mask in
+  let match_at i flow =
+    let m, es = by_mask.(i) in
+    let masked = Mask.apply m flow in
+    List.find_opt (fun (e : Megaflow.entry) -> Flow.equal e.Megaflow.key masked) es
+  in
+  let rec first flow i =
+    if i = n_masks then (None, n_masks, -1)
+    else
+      match match_at i flow with
+      | Some e -> (Some e, i + 1, i)
+      | None -> first flow (i + 1)
+  in
+  ((fun flow -> first flow 0), match_at, n_masks)
+
+let same_slot w j (e, probes, tbl) =
+  (match (w.Megaflow.w_entry.(j), e) with
+   | Some a, Some b -> a == b
+   | None, None -> true
+   | _ -> false)
+  && w.Megaflow.w_probes.(j) = probes
+  && w.Megaflow.w_tbl.(j) = tbl
+
+(* Walk [flows] as one burst, commit every packet, and compare each slot
+   and the hit, miss and probe counters with the reference. *)
+let walk_equals_reference ?(now = 1.) mf flows =
+  let n = Array.length flows in
+  let first, _, _ = reference mf in
+  let expected = Array.map first flows in
+  let hits0 = Megaflow.hits mf and misses0 = Megaflow.misses mf in
+  let probes0 = Megaflow.total_probes mf in
+  let w = Megaflow.create_walk n in
+  Megaflow.walk_batch mf flows ~idx:(Array.init n Fun.id) ~n w;
+  for j = 0 to n - 1 do
+    Megaflow.commit_walk mf w j ~now ~pkt_len:1
+  done;
+  let n_hits = Array.fold_left (fun acc (e, _, _) -> if e = None then acc else acc + 1) 0 expected in
+  let sum_probes = Array.fold_left (fun acc (_, p, _) -> acc + p) 0 expected in
+  Array.for_all Fun.id (Array.mapi (fun j x -> same_slot w j x) expected)
+  && Megaflow.hits mf - hits0 = n_hits
+  && Megaflow.misses mf - misses0 = n - n_hits
+  && Megaflow.total_probes mf - probes0 = sum_probes
 
 let prop_walk_matches_reference =
   qtest ~count:150 "walk + commit ≡ first-match reference" gen_walk_case
     (fun case ->
       let mf, flows = build_walk_case case in
-      let n = Array.length flows in
-      let expected = Array.map (reference mf) flows in
-      let hits0 = Megaflow.hits mf and misses0 = Megaflow.misses mf in
-      let probes0 = Megaflow.total_probes mf in
-      let w = Megaflow.create_walk n in
-      Megaflow.walk_batch mf flows ~idx:(Array.init n Fun.id) ~n w;
-      for j = 0 to n - 1 do
-        Megaflow.commit_walk mf w j ~now:1. ~pkt_len:1
-      done;
-      let same_slot j (e, probes, tbl) =
-        (match (w.Megaflow.w_entry.(j), e) with
-         | Some a, Some b -> a == b
-         | None, None -> true
-         | _ -> false)
-        && w.Megaflow.w_probes.(j) = probes
-        && w.Megaflow.w_tbl.(j) = tbl
-      in
-      let n_hits = Array.fold_left (fun acc (e, _, _) -> if e = None then acc else acc + 1) 0 expected in
-      let sum_probes = Array.fold_left (fun acc (_, p, _) -> acc + p) 0 expected in
-      Array.for_all Fun.id (Array.mapi (fun j x -> same_slot j x) expected)
-      && Megaflow.hits mf - hits0 = n_hits
-      && Megaflow.misses mf - misses0 = n - n_hits
-      && Megaflow.total_probes mf - probes0 = sum_probes)
+      walk_equals_reference mf flows)
 
 (* The kernel flavour has no reference of its own: a burst walked with
    hints and committed in order must equal the same packets looked up
@@ -419,6 +438,243 @@ let prop_hinted_burst_is_one_at_a_time =
       && Mask_cache.hits cache_a = Mask_cache.hits cache_b
       && Mask_cache.misses cache_a = Mask_cache.misses cache_b
       && Megaflow.total_probes mf_a = Megaflow.total_probes mf_b)
+
+(* --- Churn against the reference ---
+
+   Inserts, revalidations, LRU evictions (a small flow limit), resorts
+   and flushes interleave over a prefix-mask family whose (field, mask
+   word) pairs are shared between masks — the words the walk's probe
+   index interns — with masks of up to three fields (three word loads
+   per probe), four to six (six loads) and eight, which the index does
+   not pack. After every operation a burst is walked and committed,
+   unhinted against the first-match reference and hinted
+   against the kernel flavour's reference: a packet whose live hint
+   names a subtable holding its entry pays one probe; any other packet
+   pays the first-match scan, plus one probe for an in-range hint. *)
+
+type churn_op =
+  | Ins of (Mask.t * Flow.t) list
+  | Reval of int  (* also drop this revision *)
+  | Resort
+  | Flush
+
+let gen_churn_mask =
+  let open QCheck2.Gen in
+  (* src and dport prefixes plus [k] exact fields: 4–6 support fields
+     for [k] in 2..4, 8 for [k = 6] *)
+  let plus_exact k =
+    let* src = int_range 1 32 in
+    let* dport = int_range 1 16 in
+    return
+      (List.fold_left Mask.with_exact
+         (Mask.with_prefix (src_mask src) Field.Tp_dst dport)
+         (List.filteri (fun i _ -> i < k)
+            Field.[ Tp_src; Ip_dst; Ip_proto; In_port; Eth_type; Ip_ttl ]))
+  in
+  frequency
+    [ (6, gen_mask); (3, int_range 2 4 >>= plus_exact); (1, plus_exact 6) ]
+
+(* Keys differ in the top bits of ip_src and tp_dst, so prefixes of
+   three bits or more tell them apart and first matches spread over the
+   scan instead of landing on the first broad mask. *)
+let gen_churn_key =
+  let open QCheck2.Gen in
+  let* src_hi = int_range 0 7 and* src_lo = int_range 0 7 in
+  let* dport_hi = int_range 0 7 and* dport_lo = int_range 0 7 in
+  let* tp_src = int_range 0 3 in
+  let* ip_dst = map Int32.of_int (int_range 0 1) in
+  let* ip_proto = oneofl [ 6; 17 ] in
+  let* in_port = int_range 0 1 in
+  return
+    (Flow.make ~in_port
+       ~ip_src:(Int32.of_int ((src_hi lsl 29) lor src_lo))
+       ~ip_dst ~ip_proto ~tp_src
+       ~tp_dst:((dport_hi lsl 13) lor dport_lo) ())
+
+(* A burst packet is a fresh key, or the key of the [k]th live entry
+   (modulo their number), which matches at least that entry's mask. *)
+type burst_pkt = Fresh of Flow.t | Live of int
+
+let gen_churn_case =
+  let open QCheck2.Gen in
+  let gen_op =
+    frequency
+      [ (5,
+         let* k = oneof [ int_range 1 20; int_range 100 250 ] in
+         map (fun l -> Ins l) (list_size (return k) (pair gen_churn_mask gen_churn_key)));
+        (* many keys under one mask: subtables that outgrow the exact
+           filter recomputation on removal *)
+        (2,
+         let* mask = gen_churn_mask in
+         let* keys = list_size (int_range 10 60) gen_churn_key in
+         return (Ins (List.map (fun key -> (mask, key)) keys)));
+        (2, map (fun r -> Reval r) (int_range 0 3));
+        (1, return Resort);
+        (1, return Flush) ]
+  in
+  let gen_pkt =
+    oneof [ map (fun f -> Fresh f) gen_churn_key; map (fun k -> Live k) nat ]
+  in
+  (* Cases print nothing, and every shrinking step replays a whole
+     churn history: a failure is reported unshrunk. *)
+  no_shrink
+    (let* max_entries = oneofl [ 40; 250; 100_000 ] in
+     let* ops =
+       list_size (int_range 4 12)
+         (pair gen_op
+            (let* n = oneofl [ 1; 1; 7; 32 ] in
+             list_size (return n) gen_pkt))
+     in
+     return (max_entries, ops))
+
+let burst_flows mf burst =
+  let live = Array.of_list (Megaflow.entries mf) in
+  Array.of_list
+    (List.map
+       (function
+         | Fresh f -> f
+         | Live k when Array.length live > 0 ->
+           live.(k mod Array.length live).Megaflow.key
+         | Live _ -> Flow.zero)
+       burst)
+
+let hinted_equals_reference ~now mf cache flows =
+  let n = Array.length flows in
+  let w = Megaflow.create_walk n in
+  Megaflow.walk_batch mf ~hints:cache flows ~idx:(Array.init n Fun.id) ~n w;
+  let first, match_at, n_masks = reference mf in
+  let probes0 = Megaflow.total_probes mf in
+  let sum_probes = ref 0 and ok = ref true in
+  for j = 0 to n - 1 do
+    let flow = flows.(j) in
+    let h = Mask_cache.hint cache flow in
+    let in_range = h >= 0 && h < n_masks in
+    let expected, by_hint =
+      match if in_range then match_at h flow else None with
+      | Some e -> ((Some e, 1, h), true)
+      | None ->
+        let e, p, i = first flow in
+        ((e, (if in_range then p + 1 else p), i), false)
+    in
+    let hits0 = Mask_cache.hits cache in
+    Megaflow.commit_walk_hinted mf cache flow w j ~now ~pkt_len:1;
+    let _, p, _ = expected in
+    sum_probes := !sum_probes + p;
+    ok :=
+      !ok && same_slot w j expected
+      && Mask_cache.hits cache - hits0 = (if by_hint then 1 else 0)
+  done;
+  !ok && Megaflow.total_probes mf - probes0 = !sum_probes
+
+let prop_churn_matches_reference =
+  qtest ~count:80 "churn: walk + commit ≡ reference after every op"
+    gen_churn_case (fun (max_entries, ops) ->
+      let mf = mk ~config:{ Megaflow.max_entries; idle_timeout = 3. } () in
+      let cache = Mask_cache.create ~capacity:8 () in
+      List.for_all
+        (fun (step, (op, burst)) ->
+          let now = float_of_int step in
+          (match op with
+           | Ins l ->
+             List.iteri
+               (fun i (mask, key) ->
+                 ignore
+                   (Megaflow.insert mf ~key ~mask ~action:(Action.Output i)
+                      ~revision:(i mod 4) ~now ()))
+               l
+           | Reval r ->
+             ignore
+               (Megaflow.revalidate mf ~now
+                  ~keep:(fun e -> e.Megaflow.revision <> r) ())
+           | Resort -> Megaflow.resort_by_hits mf
+           | Flush -> Megaflow.flush mf);
+          let flows = burst_flows mf burst in
+          walk_equals_reference ~now mf flows
+          && hinted_equals_reference ~now mf cache flows)
+        (List.mapi (fun step x -> (step, x)) ops))
+
+(* The probe index costs nothing per walk: with 1024 attack-shaped masks
+   (the subtable-major order and the packed probes), walks plus commits
+   of 32-packet and one-packet bursts, hinted or not, allocate no minor
+   words once warm. *)
+let test_walk_allocation_free () =
+  let mf = mk () in
+  for i = 0 to 1023 do
+    let mask =
+      Mask.with_prefix
+        (Mask.with_prefix (src_mask ((i mod 32) + 1)) Field.Tp_dst ((i / 32 mod 16) + 1))
+        Field.Tp_src ((i / 512) + 1)
+    in
+    ignore
+      (Megaflow.insert mf ~key:(Flow.make ~ip_src:0xFFFFFFFFl ~tp_src:0xFFFF ~tp_dst:0xFFFF ())
+         ~mask ~action:Action.Drop ~revision:0 ~now:0. ())
+  done;
+  let flows = Array.init 32 (fun i -> Flow.make ~ip_src:(Int32.of_int i) ~tp_src:i ~tp_dst:0 ()) in
+  (* half the burst hits late in the scan, half misses every mask *)
+  let late = List.nth (Megaflow.masks mf) 1000 in
+  Array.iteri
+    (fun i f ->
+      if i mod 2 = 0 then
+        ignore (Megaflow.insert mf ~key:f ~mask:late ~action:Action.Drop ~revision:0 ~now:0. ()))
+    flows;
+  (* past the 128-subtable crossover, so every burst walk is packed *)
+  Alcotest.(check int) "masks" 1024 (Megaflow.n_masks mf);
+  let idx = Array.init 32 Fun.id in
+  let w = Megaflow.create_walk 32 in
+  let cache = Mask_cache.create () in
+  (* [~hints:cache] would box a [Some] at every call *)
+  let hints = Some cache in
+  let round () =
+    Megaflow.walk_batch mf flows ~idx ~n:32 w;
+    for j = 0 to 31 do Megaflow.commit_walk mf w j ~now:0. ~pkt_len:1 done;
+    Megaflow.walk_batch mf flows ~idx ~n:1 w;
+    Megaflow.commit_walk mf w 0 ~now:0. ~pkt_len:1;
+    Megaflow.walk_batch mf ?hints flows ~idx ~n:32 w;
+    for j = 0 to 31 do
+      Megaflow.commit_walk_hinted mf cache flows.(j) w j ~now:0. ~pkt_len:1
+    done
+  in
+  round ();
+  let overhead =
+    let o0 = Gc.minor_words () in
+    Gc.minor_words () -. o0
+  in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do round () done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words" 0. (w1 -. w0 -. overhead)
+
+(* Interned words belong to live subtables: 50 rounds of fresh random
+   masks, each followed by a revalidation that evicts every earlier
+   round, never leave the index holding more words than the live
+   subtables' support sizes add up to. *)
+let test_interned_words_bounded () =
+  let mf = mk () in
+  let rng = Random.State.make [| 13 |] in
+  let fields = Field.[| Ip_src; Ip_dst; Tp_src; Tp_dst; Vlan; Ip_tos |] in
+  for round = 1 to 50 do
+    for i = 1 to 40 do
+      let mask =
+        Array.fold_left
+          (fun m f ->
+            if Random.State.int rng 3 = 0 then m
+            else Mask.with_prefix m f (1 + Random.State.int rng (Field.width f)))
+          Mask.empty fields
+      in
+      ignore
+        (Megaflow.insert mf ~key:(Flow.make ~tp_dst:i ()) ~mask ~action:Action.Drop
+           ~revision:round ~now:0. ())
+    done;
+    ignore (Megaflow.revalidate mf ~now:0. ~keep:(fun e -> e.Megaflow.revision = round) ());
+    let live_support =
+      List.fold_left (fun acc m -> acc + Array.length (Mask.support m)) 0 (Megaflow.masks mf)
+    in
+    if Megaflow.n_interned_words mf > live_support then
+      Alcotest.failf "round %d: %d interned words for %d live support fields" round
+        (Megaflow.n_interned_words mf) live_support
+  done;
+  Megaflow.flush mf;
+  Alcotest.(check int) "flush drops every word" 0 (Megaflow.n_interned_words mf)
 
 (* The subtable-major loop reads its burst unchecked; a bad index row
    or an oversized burst must be refused before it, in both orders. *)
@@ -471,5 +727,8 @@ let suite =
     Alcotest.test_case "churn keeps survivors reachable" `Quick test_churn_keeps_survivors_reachable;
     Alcotest.test_case "generation tracks reorders" `Quick test_generation_tracks_reorders;
     Alcotest.test_case "walk rejects bad indices" `Quick test_walk_rejects_bad_indices;
+    Alcotest.test_case "walk allocation-free at 1024 masks" `Quick test_walk_allocation_free;
+    Alcotest.test_case "interned words bounded under churn" `Quick test_interned_words_bounded;
     prop_walk_matches_reference;
-    prop_hinted_burst_is_one_at_a_time ]
+    prop_hinted_burst_is_one_at_a_time;
+    prop_churn_matches_reference ]

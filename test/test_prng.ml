@@ -90,6 +90,31 @@ let test_shuffle_changes () =
   Prng.shuffle r a;
   Alcotest.(check bool) "actually shuffled" true (a <> Array.init 50 Fun.id)
 
+(* The state is kept unboxed: a bounded draw — one per EMC insertion on
+   the datapath — allocates nothing. *)
+let test_int_allocation_free () =
+  let r = Prng.create 19L in
+  ignore (Prng.int r 1000);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Prng.int r 1000)
+  done;
+  let w1 = Gc.minor_words () in
+  (* the two [Gc.minor_words] reads box their own float results *)
+  let overhead =
+    let o0 = Gc.minor_words () in
+    Gc.minor_words () -. o0
+  in
+  Alcotest.(check (float 0.)) "minor words for 10 000 draws" 0.
+    (w1 -. w0 -. overhead)
+
+(* The stream is pinned to SplitMix64 (Steele et al.): the first outputs
+   for seed 0 are the published reference values. *)
+let test_reference_stream () =
+  let r = Prng.create 0L in
+  Alcotest.(check int64) "first" 0xE220A8397B1DCDAFL (Prng.int64 r);
+  Alcotest.(check int64) "second" 0x6E789E6AA1B965F4L (Prng.int64 r)
+
 let suite =
   [ Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "distinct seeds" `Quick test_distinct_seeds;
@@ -102,4 +127,6 @@ let suite =
     Alcotest.test_case "float mean" `Quick test_float_mean;
     Alcotest.test_case "exponential mean" `Quick test_exponential;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
-    Alcotest.test_case "shuffle changes order" `Quick test_shuffle_changes ]
+    Alcotest.test_case "shuffle changes order" `Quick test_shuffle_changes;
+    Alcotest.test_case "int allocation-free" `Quick test_int_allocation_free;
+    Alcotest.test_case "reference stream" `Quick test_reference_stream ]
